@@ -1,12 +1,18 @@
 """Shared fixtures for the figure/table benchmarks.
 
-Every benchmark writes its paper-style report to ``results/<name>.txt``
-(stamped with an environment fingerprint and printed), so EXPERIMENTS.md
-can reference the exact series produced on this machine. Benchmarks that
-carry structured :class:`~repro.experiments.resultstore.BenchMetric`
-telemetry pass it as ``save_report``'s third argument and additionally
-emit ``results/BENCH_<name>.json`` — the records ``repro perf-report``
-and ``repro perf-gate`` diff against ``benchmarks/baselines/``.
+Every benchmark writes its paper-style report to ``<name>.txt`` in the
+results directory (stamped with an environment fingerprint and
+printed). Benchmarks that carry structured
+:class:`~repro.experiments.resultstore.BenchMetric` telemetry pass it as
+``save_report``'s third argument and additionally emit
+``BENCH_<name>.json`` and a ``BENCH_HISTORY.jsonl`` line — the records
+``repro perf-report`` and ``repro perf-gate`` diff against
+``benchmarks/baselines/``.
+
+The results directory is a per-session temporary directory, so a plain
+``pytest`` run leaves the checkout clean. Set ``REPRO_WRITE_RESULTS=1``
+to write into the tracked ``results/`` instead — the way to refresh the
+series EXPERIMENTS.md references.
 """
 
 from __future__ import annotations
@@ -20,9 +26,11 @@ RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
 
 
 @pytest.fixture(scope="session")
-def results_dir() -> Path:
-    RESULTS_DIR.mkdir(exist_ok=True)
-    return RESULTS_DIR
+def results_dir(tmp_path_factory) -> Path:
+    if os.environ.get("REPRO_WRITE_RESULTS") == "1":
+        RESULTS_DIR.mkdir(exist_ok=True)
+        return RESULTS_DIR
+    return tmp_path_factory.mktemp("results")
 
 
 @pytest.fixture(scope="session")

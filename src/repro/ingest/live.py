@@ -31,6 +31,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -39,9 +40,8 @@ from repro.core.batch import BatchPlan, clone_result
 from repro.core.durability import attach_max_durations
 from repro.core.query import Direction, DurableTopKQuery, DurableTopKResult, QueryStats
 from repro.core.record import Dataset
-from repro.index.range_topk import ScoreArrayTopKIndex
 from repro.index.topk import BatchTopKMemo, CountingTopKIndex
-from repro.ingest.segments import Segment, SegmentedTopKIndex, TailBuffer
+from repro.ingest.segments import Segment, SegmentedTopKIndex, TailBuffer, score_index
 from repro.obs import add_span, global_registry, trace_span, tracing_active
 
 __all__ = ["LiveDataset", "LiveSnapshot"]
@@ -87,22 +87,21 @@ class LiveSnapshot:
     def stitched_index(self, scorer, reverse: bool = False) -> SegmentedTopKIndex:
         """The cross-part top-k block for this snapshot under ``scorer``.
 
-        Per-segment indexes come warm from the segment caches; the tail
-        part is scored fresh per call (the tail is small by construction
-        — at most one seal threshold of rows).
+        Builds no per-part index up front: each segment's index is
+        fetched from its cache (or built) and the tail is scored only
+        when a probe first lands in that part, so a query anchored at
+        the growing end never indexes the segments its windows skip.
+        ``reverse`` stitches the time-reversed parts for look-ahead.
         """
-        parts: list[tuple[int, ScoreArrayTopKIndex]] = []
-        if not reverse:
-            parts = [(seg.lo, seg.index_for(scorer)) for seg in self.segments]
-            if len(self.tail_values):
-                parts.append((self.base, ScoreArrayTopKIndex(scorer.scores(self.tail_values))))
-        else:
+        tail = self.tail_values
+        parts = [
+            (seg.lo, len(seg), partial(seg.index_for, scorer, reverse)) for seg in self.segments
+        ]
+        if len(tail):
+            parts.append((self.base, len(tail), partial(score_index, scorer, tail, reverse)))
+        if reverse:
             n = self.n
-            if len(self.tail_values):
-                scores = scorer.scores(self.tail_values)
-                parts.append((0, ScoreArrayTopKIndex(scores[::-1])))
-            for seg in reversed(self.segments):
-                parts.append((n - 1 - seg.hi, seg.index_for(scorer, reverse=True)))
+            parts = [(n - base - length, length, build) for base, length, build in reversed(parts)]
         return SegmentedTopKIndex(parts)
 
     def values(self) -> np.ndarray:
@@ -230,15 +229,19 @@ class LiveDataset:
         return t
 
     def extend(self, rows: np.ndarray) -> int:
-        """Append many rows in one lock acquisition; returns the first id."""
+        """Append many rows in one lock acquisition; returns the first id.
+
+        The whole block is validated first, so a rejected call appends
+        nothing.
+        """
         rows = np.asarray(rows, dtype=float)
         if rows.ndim != 2 or rows.shape[1] != self.d:
             raise ValueError(f"rows must be (m, {self.d}), got {rows.shape}")
+        if not np.isfinite(rows).all():
+            raise ValueError("row values must be finite (no NaN/inf)")
         with self._append_lock:
             state = self._state
-            first = state.base + state.tail.count
-            for row in rows:
-                state.tail.append(row)
+            first = state.base + state.tail.extend(rows)
         if self._thread is not None and state.tail.count >= self.seal_rows:
             with self._wake:
                 self._wake.notify()
@@ -449,13 +452,15 @@ class LiveDataset:
         )
 
     def _query_past(
-        self, query, scorer, algorithm, with_durations, snap: LiveSnapshot, inner
+        self, query, scorer, algorithm, with_durations, snap: LiveSnapshot, stitched, memo=None
     ) -> DurableTopKResult:
         """One look-back query over a pinned snapshot's stitched block.
 
-        ``inner`` is the stitched index — raw, or wrapped in a batch memo
-        by :meth:`query_batch`; per-query stats are charged through the
-        query's own counting wrapper either way.
+        The query probes ``memo`` (the batch memo :meth:`query_batch`
+        wraps around ``stitched``) or, without one, ``stitched`` itself;
+        per-query stats are charged through the query's own counting
+        wrapper either way. The span's ``parts_resolved`` counts the
+        parts of ``stitched`` whose index has been fetched so far.
         """
         n = snap.n
         lo, hi = query.resolve_interval(n)
@@ -470,7 +475,9 @@ class LiveDataset:
             tail_rows=len(snap.tail_values),
         ) as span:
             start = time.perf_counter()
-            index = CountingTopKIndex(inner, stats, timed=tracing_active())
+            index = CountingTopKIndex(
+                stitched if memo is None else memo, stats, timed=tracing_active()
+            )
             ctx = AlgorithmContext(
                 dataset=_SnapshotView(snap),  # type: ignore[arg-type]
                 index=index,
@@ -483,7 +490,11 @@ class LiveDataset:
             )
             ids = algo.run(ctx)
             elapsed = time.perf_counter() - start
-            span.set(answers=len(ids), topk_queries=stats.topk_queries)
+            span.set(
+                answers=len(ids),
+                topk_queries=stats.topk_queries,
+                parts_resolved=stitched.parts_resolved,
+            )
             if index.timed and index.calls:
                 add_span(
                     "index.topk",
@@ -511,14 +522,15 @@ class LiveDataset:
         algorithm: str,
         with_durations: bool,
         snap: LiveSnapshot,
-        inner,
+        stitched: SegmentedTopKIndex,
+        memo=None,
     ) -> DurableTopKResult:
         """Look-ahead: run look-back over the time-reversed stitched index.
 
-        The reversed stitched index (``inner``, possibly memo-wrapped) is
-        built from the same per-part score arrays reversed in place, so
-        its answers equal those of an index over the reversed frozen
-        dataset — the engine's construction.
+        The reversed stitched index (``stitched``, probed through
+        ``memo`` when given) is built from the same per-part score arrays
+        reversed in place, so its answers equal those of an index over
+        the reversed frozen dataset — the engine's construction.
         """
         n = snap.n
         mirrored = query.reversed(n)
@@ -535,7 +547,9 @@ class LiveDataset:
             tail_rows=len(snap.tail_values),
         ) as span:
             start = time.perf_counter()
-            index = CountingTopKIndex(inner, stats, timed=tracing_active())
+            index = CountingTopKIndex(
+                stitched if memo is None else memo, stats, timed=tracing_active()
+            )
             ctx = AlgorithmContext(
                 dataset=_SnapshotView(snap),  # type: ignore[arg-type]
                 index=index,
@@ -548,7 +562,11 @@ class LiveDataset:
             )
             rev_ids = algo.run(ctx)
             elapsed = time.perf_counter() - start
-            span.set(answers=len(rev_ids), topk_queries=stats.topk_queries)
+            span.set(
+                answers=len(rev_ids),
+                topk_queries=stats.topk_queries,
+                parts_resolved=stitched.parts_resolved,
+            )
         result = DurableTopKResult(
             ids=sorted(n - 1 - t for t in rev_ids),
             query=query,
@@ -620,17 +638,17 @@ class LiveDataset:
             if query.direction is not Direction.FUTURE
         ]
         if past:
-            inner = snap.stitched_index(scorer)
+            stitched = snap.stitched_index(scorer)
             if window_memo is not None:
-                memo = window_memo.bind(inner, snap.version)
+                memo = window_memo.bind(stitched, snap.version)
             else:
-                memo = BatchTopKMemo(inner)
+                memo = BatchTopKMemo(stitched)
             plan = BatchPlan(past, snap.n)
             for k, windows in plan.opening_windows().items():
                 memo.prime(k, windows)
             for entry in plan.unique:
                 results[entry.position] = self._query_past(
-                    entry.query, scorer, entry.algorithm, with_durations, snap, memo
+                    entry.query, scorer, entry.algorithm, with_durations, snap, stitched, memo
                 )
             for position, source in plan.duplicates.items():
                 results[position] = clone_result(results[source], query=queries[position])
@@ -643,11 +661,11 @@ class LiveDataset:
         if future:
             # Dedupe on the *mirrored* look-back form (what executes);
             # trajectories then share the one reversed stitched block.
-            inner = snap.stitched_index(scorer, reverse=True)
+            stitched = snap.stitched_index(scorer, reverse=True)
             if window_memo_reverse is not None:
-                memo = window_memo_reverse.bind(inner, snap.version)
+                memo = window_memo_reverse.bind(stitched, snap.version)
             else:
-                memo = BatchTopKMemo(inner)
+                memo = BatchTopKMemo(stitched)
             plan = BatchPlan(
                 [(i, query.reversed(snap.n), name) for i, query, name in future],
                 snap.n,
@@ -658,7 +676,7 @@ class LiveDataset:
             for entry in plan.unique:
                 results[entry.position] = self._query_future(
                     originals[entry.position], scorer, entry.algorithm,
-                    with_durations, snap, memo,
+                    with_durations, snap, stitched, memo,
                 )
             for position, source in plan.duplicates.items():
                 results[position] = clone_result(results[source], query=originals[position])

@@ -16,7 +16,7 @@ from __future__ import annotations
 import bisect
 import threading
 from collections import OrderedDict
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -26,13 +26,26 @@ from repro.service.request import preference_key
 __all__ = ["Segment", "TailBuffer", "SegmentedTopKIndex"]
 
 
+def score_index(scorer, values: np.ndarray, reverse: bool = False) -> ScoreArrayTopKIndex:
+    """A top-k index over ``scorer``'s scores of ``values``.
+
+    ``reverse`` indexes the scores in reversed arrival order, the
+    time-reversed domain look-ahead queries run over.
+    """
+    scores = scorer.scores(values)
+    return ScoreArrayTopKIndex(scores[::-1] if reverse else scores)
+
+
 class Segment:
     """An immutable run of rows ``[lo, lo + len - 1]`` of the live dataset.
 
-    Carries its own per-preference top-k index, built lazily on first
-    query under a preference and LRU-cached (segments are immutable, so a
-    cached index is valid forever). ``reverse=True`` variants serve
-    look-ahead queries, which run over the time-reversed domain.
+    Carries its own per-preference top-k index, built the first time a
+    query's probe lands in the segment under that preference (the
+    stitched index resolves parts on demand, so a query never builds an
+    index for a segment its windows do not read) and LRU-cached
+    (segments are immutable, so a cached index is valid forever).
+    ``reverse=True`` variants serve look-ahead queries, which run over
+    the time-reversed domain.
     """
 
     #: Per-segment preference-bound indexes retained (forward + reversed
@@ -81,8 +94,7 @@ class Segment:
             if cached is not None:
                 self._cache.move_to_end(key)
                 return cached
-        scores = scorer.scores(self.values)
-        index = ScoreArrayTopKIndex(scores[::-1] if reverse else scores)
+        index = score_index(scorer, self.values, reverse)
         with self._lock:
             self._cache[key] = index
             if len(self._cache) > self.INDEX_CACHE_SIZE:
@@ -138,6 +150,30 @@ class TailBuffer:
         self._count = count + 1
         return count
 
+    def extend(self, rows: np.ndarray) -> int:
+        """Write an ``(m, d)`` block; returns the first row's tail-local index.
+
+        Writer-side only. Grows the buffer at most once (to the capacity
+        the same rows appended one at a time would reach) and copies the
+        block in one slice assignment; the count is bumped last, so the
+        :attr:`published` ordering contract holds as for :meth:`append`.
+        """
+        count = self._count
+        end = count + len(rows)
+        buf = self._buf
+        if end > len(buf):
+            capacity = len(buf)
+            while capacity < end:
+                capacity *= 2
+            grown = np.empty((capacity, self.d))
+            grown[:count] = buf[:count]
+            self._buf = buf = grown
+        buf[count:end] = rows
+        self.timestamps.extend([None] * len(rows))
+        self.labels.extend([None] * len(rows))
+        self._count = end
+        return count
+
     def values_view(self, count: int | None = None) -> np.ndarray:
         """The first ``count`` rows (do not mutate)."""
         buf, published = self.published
@@ -146,27 +182,45 @@ class TailBuffer:
 
 
 class SegmentedTopKIndex:
-    """Top-k building block stitched over contiguous per-part indexes.
+    """Top-k building block stitched over contiguous, lazily built parts.
 
-    Parts are ``(base, ScoreArrayTopKIndex)`` pairs covering adjacent
-    global id ranges ``[base, base + part.n)``; ids returned are global.
-    Implements the :class:`~repro.index.topk.TopKIndex` protocol, so the
-    engine-side algorithms (and the counting wrapper) use it unchanged.
+    Parts are ``(base, length, build)`` triples covering adjacent global
+    id ranges ``[base, base + length)``; ``build()`` returns the part's
+    :class:`~repro.index.range_topk.ScoreArrayTopKIndex` and is called
+    only the first time a ``topk``/``topk_batch``/``top1``/``score`` call
+    lands in that part, so a query pays index builds only for the parts
+    its windows read. Ids returned are global. Implements the
+    :class:`~repro.index.topk.TopKIndex` protocol, so the engine-side
+    algorithms (and the counting wrapper) use it unchanged.
     """
 
-    def __init__(self, parts: Sequence[tuple[int, ScoreArrayTopKIndex]]) -> None:
+    def __init__(
+        self, parts: Sequence[tuple[int, int, Callable[[], ScoreArrayTopKIndex]]]
+    ) -> None:
         if not parts:
             raise ValueError("need at least one part")
-        self._bases = [base for base, _ in parts]
-        self._parts = [part for _, part in parts]
+        self._bases = [base for base, _, _ in parts]
+        self._builds = [build for _, _, build in parts]
+        self._parts: list[ScoreArrayTopKIndex | None] = [None] * len(parts)
         expected = self._bases[0]
-        for base, part in parts:
+        for base, length, _ in parts:
             if base != expected:
                 raise ValueError(f"parts must be contiguous; expected base {expected}, got {base}")
-            expected = base + part.n
+            expected = base + length
         self._n = expected - self._bases[0]
         if self._bases[0] != 0:
             raise ValueError(f"first part must start at 0, got {self._bases[0]}")
+
+    @property
+    def parts_resolved(self) -> int:
+        """Parts whose index a probe has fetched so far."""
+        return sum(part is not None for part in self._parts)
+
+    def _part(self, p: int) -> ScoreArrayTopKIndex:
+        part = self._parts[p]
+        if part is None:
+            part = self._parts[p] = self._builds[p]()
+        return part
 
     @property
     def n(self) -> int:
@@ -179,7 +233,7 @@ class SegmentedTopKIndex:
     def score(self, record_id: int) -> float:
         """Score of one record (delegated to its part)."""
         p = self._part_of(record_id)
-        return self._parts[p].score(record_id - self._bases[p])
+        return self._part(p).score(record_id - self._bases[p])
 
     def top1(self, lo: int, hi: int) -> int | None:
         """Best global id in ``[lo, hi]`` under the canonical order."""
@@ -206,10 +260,10 @@ class SegmentedTopKIndex:
         last = self._part_of(hi)
         if first == last:
             base = self._bases[first]
-            return [base + t for t in self._parts[first].topk(k, lo - base, hi - base)]
+            return [base + t for t in self._part(first).topk(k, lo - base, hi - base)]
         candidates: list[tuple[float, int]] = []
         for p in range(first, last + 1):
-            base, part = self._bases[p], self._parts[p]
+            base, part = self._bases[p], self._part(p)
             a = max(lo, base) - base
             b = min(hi, base + part.n - 1) - base
             for t in part.topk(k, a, b):
@@ -245,7 +299,7 @@ class SegmentedTopKIndex:
                 out[i] = self.topk(k, lo, hi)
         for p, entries in per_part.items():
             base = self._bases[p]
-            answers = self._parts[p].topk_batch(k, [(lo, hi) for _, lo, hi in entries])
+            answers = self._part(p).topk_batch(k, [(lo, hi) for _, lo, hi in entries])
             for (i, _, _), local_ids in zip(entries, answers):
                 out[i] = [base + t for t in local_ids]
         return out  # type: ignore[return-value]

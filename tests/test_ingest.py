@@ -33,6 +33,11 @@ def make_live(rows, seal_every=None, seal_rows=10_000):
     return live
 
 
+def eager_part(base, index):
+    """A ``SegmentedTopKIndex`` part whose index already exists."""
+    return (base, index.n, lambda: index)
+
+
 class TestWriteAheadLog:
     def test_roundtrip(self, tmp_path):
         rows = np.arange(12, dtype=float).reshape(4, 3)
@@ -85,7 +90,7 @@ class TestSegmentedTopKIndex:
         scores = rng.random(300)
         bounds = [0, *cuts, 300]
         parts = [
-            (lo, ScoreArrayTopKIndex(scores[lo:hi]))
+            eager_part(lo, ScoreArrayTopKIndex(scores[lo:hi]))
             for lo, hi in zip(bounds, bounds[1:])
             if hi > lo
         ]
@@ -101,17 +106,17 @@ class TestSegmentedTopKIndex:
     def test_ties_break_toward_later_arrival_across_parts(self):
         scores = np.array([1.0, 5.0, 5.0, 1.0, 5.0, 0.0])
         parts = [
-            (0, ScoreArrayTopKIndex(scores[:2])),
-            (2, ScoreArrayTopKIndex(scores[2:4])),
-            (4, ScoreArrayTopKIndex(scores[4:])),
+            eager_part(0, ScoreArrayTopKIndex(scores[:2])),
+            eager_part(2, ScoreArrayTopKIndex(scores[2:4])),
+            eager_part(4, ScoreArrayTopKIndex(scores[4:])),
         ]
         stitched = SegmentedTopKIndex(parts)
         assert stitched.topk(3, 0, 5) == [4, 2, 1]
 
     def test_rejects_gaps(self):
         with pytest.raises(ValueError):
-            SegmentedTopKIndex([(0, ScoreArrayTopKIndex(np.ones(3))),
-                                (5, ScoreArrayTopKIndex(np.ones(3)))])
+            SegmentedTopKIndex([eager_part(0, ScoreArrayTopKIndex(np.ones(3))),
+                                eager_part(5, ScoreArrayTopKIndex(np.ones(3)))])
 
 
 class TestTailBuffer:
@@ -122,6 +127,62 @@ class TestTailBuffer:
         buf, count = tail.published
         assert count == 20
         assert np.array_equal(buf[:count, 0], np.arange(20, dtype=float))
+
+    def test_extend_across_growth_matches_row_appends(self):
+        rows = np.random.default_rng(3).random((13, 2))
+        by_row, by_block = TailBuffer(2, capacity=4), TailBuffer(2, capacity=4)
+        for tail in (by_row, by_block):
+            tail.append([9.0, 9.0], timestamp=5, label="first")
+        for row in rows:
+            by_row.append(row)
+        assert by_block.extend(rows) == 1  # grows 4 -> 16 in one step
+        assert by_block.count == by_row.count == 14
+        assert np.array_equal(by_block.values_view(), by_row.values_view())
+        assert len(by_block.published[0]) == len(by_row.published[0])
+        assert by_block.timestamps == by_row.timestamps
+        assert by_block.labels == by_row.labels
+
+
+class CountingPreference(LinearPreference):
+    """A linear preference that records how many rows each call scores."""
+
+    def __init__(self, u) -> None:
+        super().__init__(u)
+        self.scored: list[int] = []
+
+    def scores(self, values):
+        self.scored.append(len(values))
+        return super().scores(values)
+
+
+class TestLazyStitching:
+    def test_tail_anchored_query_never_indexes_older_segments(self):
+        rng = np.random.default_rng(21)
+        live = make_live(rng.random((650, 2)), seal_every=200)  # 3 x 200 + 50-row tail
+        old, last = live._state.segments[:2], live._state.segments[2]
+        engine = DurableTopKEngine(live.freeze())
+        scorer, reference = CountingPreference([0.6, 0.4]), LinearPreference([0.6, 0.4])
+        past = DurableTopKQuery(k=2, tau=60, interval=(610, 649))
+        future = DurableTopKQuery(k=2, tau=30, interval=(580, 620), direction=Direction.FUTURE)
+        for query in (past, future):
+            got = live.query(query, scorer, with_durations=True)
+            want = engine.query(query, reference, algorithm="t-hop", with_durations=True)
+            assert got.ids == want.ids and got.durations == want.durations
+        live.query_batch([past, future], scorer, with_durations=True)
+        assert set(scorer.scored) <= {len(last), 50}
+        assert all(not seg._cache for seg in old)
+        assert len(last._cache) == 2  # forward and reversed, built once each
+
+    def test_parts_resolved_counts_only_touched_parts(self, scorer):
+        live = make_live(np.random.default_rng(22).random((650, 2)), seal_every=200)
+        stitched = live.snapshot().stitched_index(scorer)
+        assert stitched.n == 650 and stitched.parts_resolved == 0
+        stitched.topk(3, 620, 649)
+        assert stitched.parts_resolved == 1
+        stitched.topk_batch(2, [(590, 610), (0, 5)])
+        assert stitched.parts_resolved == 3
+        assert stitched.score(250) == scorer.scores(live.freeze().values)[250]
+        assert stitched.parts_resolved == 4
 
 
 class TestLiveDatasetEquivalence:
@@ -191,6 +252,17 @@ class TestLiveDatasetEquivalence:
             live.append([1.0])
         with pytest.raises(ValueError):
             live.append([np.nan, 1.0])
+
+    def test_extend_rejects_non_finite_block_without_appending(self, scorer):
+        live = make_live(np.random.default_rng(4).random((8, 2)), seal_every=4)
+        for bad in ([[np.nan, 1.0]], [[0.5, 0.5], [1.0, np.inf]], [[-np.inf, 0.0]]):
+            with pytest.raises(ValueError, match="finite"):
+                live.extend(bad)
+            assert live.n == 8
+        scores = scorer.scores(live.freeze().values)
+        got = live.query(DurableTopKQuery(k=1, tau=2, interval=(0, 5)), scorer)
+        assert got.ids == brute_force_durable_topk(scores, 1, 0, 5, 2)
+        assert live.extend([[0.2, 0.3]]) == 8 and live.n == 9
 
     def test_background_maintenance_seals_and_stays_exact(self, scorer):
         rng = np.random.default_rng(12)

@@ -99,6 +99,71 @@ def test_lookahead_resolves_across_seal_boundary():
     assert got.durations == want.durations
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_lazy_stitching_matches_offline_rebuild(seed):
+    """Lazily resolved parts answer exactly as an offline ``freeze()``.
+
+    Each round appends a few segments' worth of rows, then poses a batch
+    of look-back and look-ahead queries — windows anchored at the tail,
+    deep in old segments, and straddling part boundaries — through
+    ``query``, ``query_batch`` and ``query_batch`` with persistent
+    window memos; every answer, duration and probe count must equal the
+    frozen engine's. Fresh stitched indexes per call mean each path
+    resolves its own subset of parts.
+    """
+    from repro.cache.windows import WindowMemo
+
+    rng = np.random.default_rng(seed)
+    scorer = LinearPreference(np.abs(rng.normal(size=2)) + 0.1)
+    live = LiveDataset(d=2, seal_rows=10_000, compact_fanout=3)
+    pool = rng.random((12, 2)).round(1)  # ties across part boundaries
+    memos = (WindowMemo(), WindowMemo())
+    for _ in range(6):
+        for _ in range(int(rng.integers(1, 4))):
+            live.extend(pool[rng.integers(0, len(pool), size=int(rng.integers(20, 90)))])
+            live.seal()
+        live.extend(pool[rng.integers(0, len(pool), size=int(rng.integers(0, 40)))])
+        if rng.random() < 0.3:
+            live.compact()
+        n = live.n
+        engine = DurableTopKEngine(live.freeze(), skyband_k_max=None)
+        bounds = [seg.lo for seg in live._state.segments[1:]] + [live._state.base]
+        queries = []
+        for _ in range(8):
+            cut = int(rng.choice(bounds)) if bounds else n // 2
+            lo = int(rng.integers(max(0, cut - 30), max(1, min(cut, n - 1))))
+            hi = int(rng.integers(min(cut, n - 1), n))
+            if rng.random() < 0.3:  # anchored at the growing end
+                lo, hi = max(0, n - int(rng.integers(1, 40))), n - 1
+            direction = Direction.FUTURE if rng.random() < 0.5 else Direction.PAST
+            tau = int(rng.integers(1, 60))
+            queries.append(DurableTopKQuery(int(rng.integers(1, 4)), tau, (lo, hi), direction))
+        algorithms = ["t-hop" if rng.random() < 0.6 else "t-base" for _ in queries]
+        want = [
+            engine.query(q, scorer, algorithm=a, with_durations=True)
+            for q, a in zip(queries, algorithms)
+        ]
+        snap = live.snapshot()
+        serial = [
+            live.query(q, scorer, algorithm=a, with_durations=True, snapshot=snap)
+            for q, a in zip(queries, algorithms)
+        ]
+        batched = live.query_batch(queries, scorer, algorithms, True, snap)
+        memoised = [  # the second batch is seeded by the first's windows
+            live.query_batch(
+                queries, scorer, algorithms, True, snap,
+                window_memo=memos[0], window_memo_reverse=memos[1],
+            )
+            for _ in range(2)
+        ]
+        for got_set in (serial, batched, *memoised):
+            for got, ref in zip(got_set, want):
+                assert got.ids == ref.ids, (n, got.query)
+                assert got.durations == ref.durations, (n, got.query)
+                assert got.stats.topk_queries == ref.stats.topk_queries
+                assert got.extra == {"snapshot_n": n, "snapshot_version": n}
+
+
 @pytest.mark.parametrize("seed", [11, 12])
 def test_live_minidb_random_interleaving_with_crashes(tmp_path, seed):
     """Appends, seals, queries and crash-reopens against the paged store.

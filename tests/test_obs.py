@@ -20,6 +20,7 @@ import pytest
 from repro.core.engine import DurableTopKEngine
 from repro.core.query import DurableTopKQuery
 from repro.core.record import Dataset
+from repro.ingest import LiveDataset
 from repro.minidb import MiniDB, t_hop_procedure
 from repro.obs import (
     TRACES,
@@ -229,6 +230,27 @@ class TestLayerSpans:
         assert span.attrs["durability_topk"] == result.stats.durability_topk_queries
         (index,) = trace.children_of(span.span_id)
         assert index.name == "index.topk"
+
+    def test_live_snapshot_span_reports_parts_resolved(self):
+        live = LiveDataset(d=2)
+        for chunk in np.random.default_rng(5).random((3, 100, 2)):
+            live.extend(chunk)
+            live.seal()
+        live.extend(np.random.default_rng(6).random((20, 2)))
+        scorer = LinearPreference([0.5, 0.5])
+        enable()
+        for interval in [(300, 319), (0, 319)]:
+            live.query(DurableTopKQuery(k=2, tau=10, interval=interval), scorer)
+        disable()
+        spans = sorted(
+            (span for trace in TRACES.slowest() for span in trace.spans
+             if span.name == "ingest.snapshot"),
+            key=lambda span: span.attrs["parts_resolved"],
+        )
+        assert [span.attrs["segments"] for span in spans] == [3, 3]
+        assert all(span.attrs["parts_resolved"] <= span.attrs["segments"] + 1 for span in spans)
+        # Tail-anchored: the tail, plus the last segment its windows reach.
+        assert [span.attrs["parts_resolved"] for span in spans] == [2, 4]
 
     def test_minidb_span_reports_page_counts(self):
         rng = np.random.default_rng(11)
