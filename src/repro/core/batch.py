@@ -19,8 +19,10 @@ live dataset) can run in a single shared pass:
   vectorised ``np.partition`` pass before the trajectories start.
 
 The plan itself never executes anything: byte-identity of the batched
-path reduces to "each distinct query runs exactly the serial code over a
+path reduces to "each distinct query runs exactly the same code over a
 memo that only short-circuits repeated identical calls".
+:func:`plan_index` is the one place that decides which memo (if any)
+a plan's queries probe.
 """
 
 from __future__ import annotations
@@ -28,8 +30,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from repro.core.query import DurableTopKQuery, DurableTopKResult
+from repro.index.topk import BatchTopKMemo
 
-__all__ = ["BatchEntry", "BatchPlan", "clone_result"]
+__all__ = ["BatchEntry", "BatchPlan", "clone_result", "plan_index"]
 
 #: Algorithms whose first building-block call is the durability window
 #: ``topk(k, hi - tau, hi)`` — the windows worth priming vectorised.
@@ -101,6 +104,29 @@ class BatchPlan:
             seen.add(key)
             windows.setdefault(entry.query.k, []).append((key[1], key[2]))
         return windows
+
+
+def plan_index(plan: BatchPlan, index, persistent=None, version=None):
+    """The top-k block ``plan``'s distinct queries probe.
+
+    ``persistent`` is a cross-batch
+    :class:`~repro.cache.windows.WindowMemo` (a serving session's): it is
+    re-bound to ``index`` at ``version`` and primed with the plan's
+    opening windows. Without one, a plan with several distinct queries
+    gets a batch-scoped :class:`~repro.index.topk.BatchTopKMemo`, primed
+    the same way, while a plan with one distinct query runs straight over
+    ``index`` — a lone query has no window to share, so a memo and a
+    priming pass would only cost it time.
+    """
+    if persistent is not None:
+        memo = persistent.bind(index, version)
+    elif len(plan.unique) > 1:
+        memo = BatchTopKMemo(index)
+    else:
+        return index
+    for k, windows in plan.opening_windows().items():
+        memo.prime(k, windows)
+    return memo
 
 
 def clone_result(

@@ -12,7 +12,9 @@ queries onto one execution, a :class:`~repro.index.topk.BatchTopKMemo`
 shares every identical top-k window between the batch's queries (primed
 with one vectorised sweep over the batch's opening windows), and each
 answer — ids, per-query :class:`~repro.core.query.QueryStats`,
-durations — is byte-identical to the serial ``query`` loop.
+durations — is byte-identical to answering that query alone. ``query``
+is a batch of one: a lone query runs straight over the index, with no
+memo and no priming (:func:`~repro.core.batch.plan_index`).
 """
 
 from __future__ import annotations
@@ -22,12 +24,12 @@ import time
 from collections import OrderedDict
 
 from repro.core.algorithms.base import AlgorithmContext, get_algorithm
-from repro.core.batch import BatchPlan, clone_result
+from repro.core.batch import BatchPlan, clone_result, plan_index
 from repro.core.durability import attach_max_durations
 from repro.core.query import Direction, DurableTopKQuery, DurableTopKResult, QueryStats
 from repro.core.record import Dataset
 from repro.core.session import QuerySession
-from repro.index.topk import BatchTopKMemo, CountingTopKIndex, build_topk_index
+from repro.index.topk import CountingTopKIndex, build_topk_index
 from repro.obs import add_span, trace_span, tracing_active
 
 __all__ = ["DurableTopKEngine", "EngineSession", "durable_topk"]
@@ -61,18 +63,7 @@ class EngineSession(QuerySession):
         with_durations: bool = False,
     ) -> DurableTopKResult:
         """Answer ``query`` under the session's bound scoring function."""
-        if self.closed:
-            raise RuntimeError("session is closed")
-        if self.dataset_version != self.engine.dataset.version:
-            # The dataset advanced an epoch under this session (e.g. a
-            # newer live snapshot was swapped in): drop the stale index
-            # and rebind before answering.
-            self.clear()
-            self.index = self.engine._bound_index(self.scorer)
-            self.dataset_version = self.engine.dataset.version
-        return self.engine.query(
-            query, self.scorer, algorithm, with_durations, session=self
-        )
+        return self.query_batch([query], algorithm, with_durations)[0]
 
     def query_batch(
         self,
@@ -86,6 +77,9 @@ class EngineSession(QuerySession):
         if self.closed:
             raise RuntimeError("session is closed")
         if self.dataset_version != self.engine.dataset.version:
+            # The dataset advanced an epoch under this session (e.g. a
+            # newer live snapshot was swapped in): drop the stale index
+            # and rebind before answering.
             self.clear()
             self.index = self.engine._bound_index(self.scorer)
             self.dataset_version = self.engine.dataset.version
@@ -281,19 +275,9 @@ class DurableTopKEngine:
         Section II), stored in ``result.durations``.
         ``session`` (see :meth:`session`) reuses a preference-bound index
         across calls; it must have been opened for the same ``scorer``.
+        A batch of one: see :meth:`query_batch`.
         """
-        scorer.validate_for(self.dataset.d)
-        if session is not None and session.scorer is not scorer:
-            raise ValueError(
-                "session was opened for a different scoring function; "
-                "open one per scorer via DurableTopKEngine.session()"
-            )
-        if algorithm == "auto":
-            algorithm = self.plan(query, scorer).algorithm
-        if query.direction is Direction.FUTURE:
-            return self._query_future(query, scorer, algorithm, with_durations)
-        inner = session.index if session is not None else self._bound_index(scorer)
-        return self._query_past(query, scorer, algorithm, with_durations, inner)
+        return self.query_batch([query], scorer, algorithm, with_durations, session)[0]
 
     def _query_past(
         self, query: DurableTopKQuery, scorer, algorithm: str, with_durations: bool, inner
@@ -356,27 +340,6 @@ class DurableTopKEngine:
             attach_max_durations(result, index)
         return result
 
-    def _query_future(
-        self, query: DurableTopKQuery, scorer, algorithm: str, with_durations: bool
-    ) -> DurableTopKResult:
-        """Look-ahead query: run look-back over the time-reversed dataset."""
-        n = self.dataset.n
-        engine = self._reversed()
-        mirrored = query.reversed(n)
-        inner = engine.query(mirrored, scorer, algorithm, with_durations)
-        ids = sorted(n - 1 - t for t in inner.ids)
-        durations = (
-            {n - 1 - t: d for t, d in inner.durations.items()} if inner.durations else None
-        )
-        return DurableTopKResult(
-            ids=ids,
-            query=query,
-            algorithm=algorithm,
-            stats=inner.stats,
-            elapsed_seconds=inner.elapsed_seconds,
-            durations=durations,
-        )
-
     def _resolve_algorithms(self, queries, algorithm, scorer) -> list[str]:
         """Per-query algorithm names, expanding ``"auto"`` via the planner."""
         if isinstance(algorithm, str):
@@ -402,8 +365,8 @@ class DurableTopKEngine:
     ) -> list[DurableTopKResult]:
         """Answer a batch of queries under one scorer in a shared pass.
 
-        Byte-identical to ``[self.query(q, scorer, ...) for q in queries]``
-        — same ids, durations and per-query :class:`QueryStats` — but the
+        Byte-identical to answering each query alone — same ids,
+        durations and per-query :class:`QueryStats` — but the
         work is shared three ways: identical queries execute once (their
         twins get cloned results), all distinct queries run over one
         :class:`~repro.index.topk.BatchTopKMemo` so repeated durability
@@ -412,7 +375,7 @@ class DurableTopKEngine:
         (:func:`~repro.index.topk.batched_window_topk`).
 
         ``algorithm`` is one name for the whole batch or a sequence with
-        one name per query (``"auto"`` plans per query, as in serial).
+        one name per query (``"auto"`` plans each query on its own).
         Look-ahead queries batch among themselves over the reversed
         engine. Results come back in input order.
         """
@@ -439,19 +402,14 @@ class DurableTopKEngine:
         ]
         if past:
             inner = session.index if session is not None else self._bound_index(scorer)
+            # A serving backend may attach a cross-batch WindowMemo to the
+            # session: bound to this batch's index/epoch, windows answered
+            # by earlier batches seed this one (stale epochs are dropped
+            # inside bind()). Placement is identical to the batch-scoped
+            # memo, so outputs stay byte-identical.
             persistent = session.window_memo if session is not None else None
-            if persistent is not None:
-                # A serving backend attached a cross-batch WindowMemo:
-                # bind it to this batch's index/epoch so windows answered
-                # by earlier batches seed this one (stale epochs are
-                # dropped inside bind()). Placement is identical to the
-                # batch-scoped memo, so outputs stay byte-identical.
-                memo = persistent.bind(inner, self.dataset.version)
-            else:
-                memo = BatchTopKMemo(inner)
             plan = BatchPlan(past, self.dataset.n)
-            for k, windows in plan.opening_windows().items():
-                memo.prime(k, windows)
+            memo = plan_index(plan, inner, persistent, self.dataset.version)
             for entry in plan.unique:
                 results[entry.position] = self._query_past(
                     entry.query, scorer, entry.algorithm, with_durations, memo
@@ -467,10 +425,9 @@ class DurableTopKEngine:
     def _query_future_batch(self, items, scorer, with_durations, results) -> None:
         """Batch the look-ahead queries over the reversed engine.
 
-        Mirrors :meth:`_query_future`: each query runs as a look-back
-        query on the time-reversed dataset; the whole group shares the
-        reversed engine's batched pass, then ids (and durations) map back
-        through ``t -> n - 1 - t``.
+        Each query runs as a look-back query on the time-reversed
+        dataset; the whole group shares the reversed engine's batched
+        pass, then ids (and durations) map back through ``t -> n - 1 - t``.
         """
         n = self.dataset.n
         engine = self._reversed()

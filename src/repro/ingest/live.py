@@ -13,7 +13,8 @@
   *exactly* equal to rebuilding one index over the frozen prefix;
 * ``query_batch`` answers a same-preference batch over *one* pinned
   snapshot with shared memoised windows — every answer byte-identical
-  to a serial ``query`` loop against that snapshot.
+  to answering that query alone against that snapshot (``query`` is a
+  batch of one).
 
 Concurrency model (epoch/RCU-style): all mutable state lives in one
 immutable ``_LiveState`` (segment tuple + tail buffer + base offset)
@@ -36,11 +37,11 @@ from functools import partial
 import numpy as np
 
 from repro.core.algorithms.base import AlgorithmContext, get_algorithm
-from repro.core.batch import BatchPlan, clone_result
+from repro.core.batch import BatchPlan, clone_result, plan_index
 from repro.core.durability import attach_max_durations
 from repro.core.query import Direction, DurableTopKQuery, DurableTopKResult, QueryStats
 from repro.core.record import Dataset
-from repro.index.topk import BatchTopKMemo, CountingTopKIndex
+from repro.index.topk import CountingTopKIndex
 from repro.ingest.segments import Segment, SegmentedTopKIndex, TailBuffer, score_index
 from repro.obs import add_span, global_registry, trace_span, tracing_active
 
@@ -438,28 +439,20 @@ class LiveDataset:
         record what was served, which the freshness benchmark and the
         serial re-derivation gate rely on.
         """
-        _validate_live_algorithm(algorithm)
-        scorer.validate_for(self.d)
-        snap = snapshot if snapshot is not None else self.snapshot()
-        if query.direction is Direction.FUTURE:
-            return self._query_future(
-                query, scorer, algorithm, with_durations, snap,
-                snap.stitched_index(scorer, reverse=True),
-            )
-        return self._query_past(
-            query, scorer, algorithm, with_durations, snap,
-            snap.stitched_index(scorer),
-        )
+        return self.query_batch([query], scorer, algorithm, with_durations, snapshot)[0]
 
     def _query_past(
-        self, query, scorer, algorithm, with_durations, snap: LiveSnapshot, stitched, memo=None
+        self, query, scorer, algorithm, with_durations, snap: LiveSnapshot, stitched, probe,
+        reverse: bool = False,
     ) -> DurableTopKResult:
         """One look-back query over a pinned snapshot's stitched block.
 
-        The query probes ``memo`` (the batch memo :meth:`query_batch`
-        wraps around ``stitched``) or, without one, ``stitched`` itself;
-        per-query stats are charged through the query's own counting
-        wrapper either way. The span's ``parts_resolved`` counts the
+        The query probes ``probe`` — ``stitched`` itself or the batch
+        memo :meth:`query_batch` wraps around it — and charges its stats
+        through its own counting wrapper. ``reverse`` marks a mirrored
+        look-ahead query running over the reversed ``stitched`` block
+        (the span then carries ``direction="future"``); :meth:`query_batch`
+        maps its answer back. The span's ``parts_resolved`` counts the
         parts of ``stitched`` whose index has been fetched so far.
         """
         n = snap.n
@@ -469,15 +462,14 @@ class LiveDataset:
         with trace_span(
             "ingest.snapshot",
             algorithm=algorithm,
+            **({"direction": "future"} if reverse else {}),
             snapshot_n=n,
             snapshot_version=snap.version,
             segments=len(snap.segments),
             tail_rows=len(snap.tail_values),
         ) as span:
             start = time.perf_counter()
-            index = CountingTopKIndex(
-                stitched if memo is None else memo, stats, timed=tracing_active()
-            )
+            index = CountingTopKIndex(probe, stats, timed=tracing_active())
             ctx = AlgorithmContext(
                 dataset=_SnapshotView(snap),  # type: ignore[arg-type]
                 index=index,
@@ -515,74 +507,6 @@ class LiveDataset:
             attach_max_durations(result, index)
         return result
 
-    def _query_future(
-        self,
-        query: DurableTopKQuery,
-        scorer,
-        algorithm: str,
-        with_durations: bool,
-        snap: LiveSnapshot,
-        stitched: SegmentedTopKIndex,
-        memo=None,
-    ) -> DurableTopKResult:
-        """Look-ahead: run look-back over the time-reversed stitched index.
-
-        The reversed stitched index (``stitched``, probed through
-        ``memo`` when given) is built from the same per-part score arrays
-        reversed in place, so its answers equal those of an index over
-        the reversed frozen dataset — the engine's construction.
-        """
-        n = snap.n
-        mirrored = query.reversed(n)
-        lo, hi = mirrored.resolve_interval(n)
-        stats = QueryStats()
-        algo = get_algorithm(algorithm)
-        with trace_span(
-            "ingest.snapshot",
-            algorithm=algorithm,
-            direction="future",
-            snapshot_n=n,
-            snapshot_version=snap.version,
-            segments=len(snap.segments),
-            tail_rows=len(snap.tail_values),
-        ) as span:
-            start = time.perf_counter()
-            index = CountingTopKIndex(
-                stitched if memo is None else memo, stats, timed=tracing_active()
-            )
-            ctx = AlgorithmContext(
-                dataset=_SnapshotView(snap),  # type: ignore[arg-type]
-                index=index,
-                scorer=scorer,
-                k=mirrored.k,
-                tau=mirrored.tau,
-                lo=lo,
-                hi=hi,
-                stats=stats,
-            )
-            rev_ids = algo.run(ctx)
-            elapsed = time.perf_counter() - start
-            span.set(
-                answers=len(rev_ids),
-                topk_queries=stats.topk_queries,
-                parts_resolved=stitched.parts_resolved,
-            )
-        result = DurableTopKResult(
-            ids=sorted(n - 1 - t for t in rev_ids),
-            query=query,
-            algorithm=algorithm,
-            stats=stats,
-            elapsed_seconds=elapsed,
-            extra={"snapshot_n": n, "snapshot_version": snap.version},
-        )
-        if with_durations:
-            mirrored_result = DurableTopKResult(ids=rev_ids, query=mirrored, algorithm=algorithm)
-            attach_max_durations(mirrored_result, index)
-            result.durations = {
-                n - 1 - t: dur for t, dur in (mirrored_result.durations or {}).items()
-            }
-        return result
-
     def query_batch(
         self,
         queries,
@@ -595,7 +519,7 @@ class LiveDataset:
     ) -> list[DurableTopKResult]:
         """Answer a batch of queries over **one** snapshot in a shared pass.
 
-        Byte-identical to a serial ``query`` loop pinned to the same
+        Byte-identical to answering each query alone against the same
         snapshot — same ids, durations, stats and ``extra`` stamps — with
         the batched economics of the engine's
         :meth:`~repro.core.engine.DurableTopKEngine.query_batch`: the
@@ -632,54 +556,35 @@ class LiveDataset:
         snap = snapshot if snapshot is not None else self.snapshot()
         results: list[DurableTopKResult | None] = [None] * len(queries)
 
-        past = [
-            (i, query, algorithms[i])
-            for i, query in enumerate(queries)
-            if query.direction is not Direction.FUTURE
-        ]
-        if past:
-            stitched = snap.stitched_index(scorer)
-            if window_memo is not None:
-                memo = window_memo.bind(stitched, snap.version)
-            else:
-                memo = BatchTopKMemo(stitched)
-            plan = BatchPlan(past, snap.n)
-            for k, windows in plan.opening_windows().items():
-                memo.prime(k, windows)
+        n = snap.n
+        # Look-ahead queries run as their mirrored look-back form over the
+        # reversed stitched block — the engine's construction — and are
+        # deduplicated on that form (what executes).
+        for reverse, persistent in ((False, window_memo), (True, window_memo_reverse)):
+            group = [
+                (i, query.reversed(n) if reverse else query, algorithms[i])
+                for i, query in enumerate(queries)
+                if (query.direction is Direction.FUTURE) == reverse
+            ]
+            if not group:
+                continue
+            stitched = snap.stitched_index(scorer, reverse=reverse)
+            plan = BatchPlan(group, n)
+            probe = plan_index(plan, stitched, persistent, snap.version)
             for entry in plan.unique:
-                results[entry.position] = self._query_past(
-                    entry.query, scorer, entry.algorithm, with_durations, snap, stitched, memo
+                result = self._query_past(
+                    entry.query, scorer, entry.algorithm, with_durations, snap, stitched, probe,
+                    reverse,
                 )
+                if reverse:
+                    # Map the mirrored answer back through t -> n - 1 - t.
+                    result.query = queries[entry.position]
+                    result.ids = sorted(n - 1 - t for t in result.ids)
+                    if result.durations is not None:
+                        result.durations = {n - 1 - t: d for t, d in result.durations.items()}
+                results[entry.position] = result
             for position, source in plan.duplicates.items():
                 results[position] = clone_result(results[source], query=queries[position])
-
-        future = [
-            (i, query, algorithms[i])
-            for i, query in enumerate(queries)
-            if query.direction is Direction.FUTURE
-        ]
-        if future:
-            # Dedupe on the *mirrored* look-back form (what executes);
-            # trajectories then share the one reversed stitched block.
-            stitched = snap.stitched_index(scorer, reverse=True)
-            if window_memo_reverse is not None:
-                memo = window_memo_reverse.bind(stitched, snap.version)
-            else:
-                memo = BatchTopKMemo(stitched)
-            plan = BatchPlan(
-                [(i, query.reversed(snap.n), name) for i, query, name in future],
-                snap.n,
-            )
-            for k, windows in plan.opening_windows().items():
-                memo.prime(k, windows)
-            originals = {i: query for i, query, _ in future}
-            for entry in plan.unique:
-                results[entry.position] = self._query_future(
-                    originals[entry.position], scorer, entry.algorithm,
-                    with_durations, snap, stitched, memo,
-                )
-            for position, source in plan.duplicates.items():
-                results[position] = clone_result(results[source], query=originals[position])
         return results  # type: ignore[return-value]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -2,10 +2,11 @@
 
 A backend knows three things: how to open a per-preference
 :class:`~repro.core.session.QuerySession` (the pooled resource), how
-to execute one :class:`~repro.service.request.QueryRequest` with such a
-session, and which ``dataset_version()`` (content epoch) it currently
-serves — the key the semantic answer cache pins entries to. Two
-backends ship:
+to execute a same-preference batch of requests
+(:class:`~repro.service.request.QueryRequest`) with such a session
+(``execute_batch``; a lone request is a batch of one), and which
+``dataset_version()`` (content epoch) it currently serves — the key the
+semantic answer cache pins entries to. Four backends ship:
 
 * :class:`EngineBackend` — the in-memory
   :class:`~repro.core.engine.DurableTopKEngine`. Queries under
@@ -46,12 +47,7 @@ import numpy as np
 
 from repro.core.query import Direction, DurableTopKResult, QueryStats
 from repro.core.session import QuerySession
-from repro.minidb.procedures import (
-    t_base_batch_procedure,
-    t_base_procedure,
-    t_hop_batch_procedure,
-    t_hop_procedure,
-)
+from repro.minidb.procedures import t_base_batch_procedure, t_hop_batch_procedure
 from repro.service.request import QueryRequest
 
 __all__ = ["EngineBackend", "LiveBackend", "MiniDBBackend", "ShardedBackend"]
@@ -86,11 +82,6 @@ class EngineBackend:
 
             session.window_memo = WindowMemo()
         return session
-
-    def execute(self, session, request: QueryRequest) -> DurableTopKResult:
-        return session.query(
-            request.as_query(), algorithm=request.algorithm
-        )
 
     def execute_batch(
         self, session, requests: list[QueryRequest]
@@ -139,14 +130,6 @@ class LiveBackend:
             session.window_memo = WindowMemo()
             session.window_memo_reverse = WindowMemo()
         return session
-
-    def execute(self, session, request: QueryRequest) -> DurableTopKResult:
-        result = self.live.query(
-            request.as_query(), request.scorer, algorithm=request.algorithm
-        )
-        # Freshness: how many rows landed while this query executed.
-        result.extra["staleness_rows"] = max(0, self.live.n - result.extra["snapshot_n"])
-        return result
 
     def execute_batch(
         self, session, requests: list[QueryRequest]
@@ -203,17 +186,6 @@ class ShardedBackend:
     def make_session(self, scorer) -> QuerySession:
         scorer.validate_for(self.coordinator.dataset.d)
         return QuerySession(getattr(scorer, "u", None))
-
-    def execute(self, session, request: QueryRequest) -> DurableTopKResult:
-        if self.cache is not None:
-            version = self.dataset_version()
-            cached = self.cache.get(request, version)
-            if cached is not None:
-                return cached
-            result = self.coordinator.query(request)
-            self.cache.put(request, version, result)
-            return result
-        return self.coordinator.query(request)
 
     def execute_batch(
         self, session, requests: list[QueryRequest]
@@ -278,7 +250,6 @@ class MiniDBBackend:
 
     name = "minidb"
 
-    PROCEDURES = {"t-hop": t_hop_procedure, "t-base": t_base_procedure}
     BATCH_PROCEDURES = {
         "t-hop": t_hop_batch_procedure,
         "t-base": t_base_batch_procedure,
@@ -308,9 +279,9 @@ class MiniDBBackend:
             raise ValueError(
                 "the MiniDB stored procedures answer look-back queries only"
             )
-        if request.algorithm not in self.PROCEDURES:
+        if request.algorithm not in self.BATCH_PROCEDURES:
             raise ValueError(
-                f"MiniDB backend serves {sorted(self.PROCEDURES)}, "
+                f"MiniDB backend serves {sorted(self.BATCH_PROCEDURES)}, "
                 f"not {request.algorithm!r}"
             )
 
@@ -332,23 +303,6 @@ class MiniDBBackend:
                 "topk_queries": report.topk_queries,
             },
         )
-
-    def execute(self, session, request: QueryRequest) -> DurableTopKResult:
-        self._check(request)
-        procedure = self.PROCEDURES[request.algorithm]
-        lo, hi = request.interval if request.interval is not None else (None, None)
-        with self._latch:
-            report = procedure(
-                self.db,
-                session.u,
-                request.k,
-                request.tau,
-                lo,
-                hi,
-                cold=self.cold,
-                session=session,
-            )
-        return self._result_of(request, report)
 
     def execute_batch(
         self, session, requests: list[QueryRequest]

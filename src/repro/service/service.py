@@ -567,12 +567,14 @@ class DurableTopKService:
                 )
             except BaseException:
                 # The batched path failed as a whole; fall back to per-leader
-                # execution so a single bad request (e.g. a direction the
-                # backend rejects) fails only its own group's futures.
+                # batches of one so a single bad request (e.g. a direction
+                # the backend rejects) fails only its own group's futures.
                 results = []
                 for leader in leaders:
                     try:
-                        results.append(self.backend.execute(session, leader.request))
+                        results.append(
+                            self.backend.execute_batch(session, [leader.request])[0]
+                        )
                     except BaseException as exc:
                         results.append(exc)
 

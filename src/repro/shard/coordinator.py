@@ -363,72 +363,9 @@ class ShardCoordinator:
         never travels. The merged result's ``stats`` are the per-shard
         counters summed, and ``extra`` records which shards served the
         request (``shards``), the fanout width, and each shard's top-k
-        query share.
+        query share. A batch of one: see :meth:`query_batch`.
         """
-        query = request.as_query()
-        lo, hi = query.resolve_interval(self.sharded.n)
-        targets = []
-        for span in self.spans:
-            clipped = span.intersect(lo, hi)
-            if clipped is not None:
-                targets.append((span.shard, clipped))
-        with trace_span(
-            "shard.scatter",
-            op="query",
-            fanout=len(targets),
-            shards=[shard for shard, _ in targets],
-        ):
-            start = time.perf_counter()
-            answers = self._scatter(
-                "query",
-                [
-                    (
-                        shard,
-                        {
-                            "scorer": request.scorer,
-                            "k": request.k,
-                            "tau": request.tau,
-                            "lo": qlo,
-                            "hi": qhi,
-                            "direction": request.direction.value,
-                            "algorithm": request.algorithm,
-                            "with_durations": with_durations,
-                        },
-                    )
-                    for shard, (qlo, qhi) in targets
-                ],
-            )
-            elapsed = time.perf_counter() - start
-
-        stats = QueryStats()
-        durations: dict[int, int] = {}
-        shard_topk: dict[int, int] = {}
-        for (shard, _), answer in zip(targets, answers):
-            shard_stats = unpack_stats(answer["stats"])
-            shard_topk[shard] = shard_stats.topk_queries
-            stats.add(shard_stats)
-            if answer["durations"]:
-                durations.update(answer["durations"])
-        with self._stats_lock:
-            self.queries += 1
-            width = len(targets)
-            self.fanout[width] = self.fanout.get(width, 0) + 1
-            for shard, _ in targets:
-                self.subqueries[shard] += 1
-        return DurableTopKResult(
-            ids=merge_shard_answers([answer["ids"] for answer in answers]),
-            query=query,
-            algorithm=request.algorithm,
-            stats=stats,
-            elapsed_seconds=elapsed,
-            durations=durations if with_durations else None,
-            extra={
-                "shards": [shard for shard, _ in targets],
-                "shard_fanout": len(targets),
-                "shard_topk_queries": shard_topk,
-                "shard_elapsed_max": max(answer["elapsed"] for answer in answers),
-            },
-        )
+        return self.query_batch([request], with_durations)[0]
 
     def query_batch(
         self, requests: list[QueryRequest], with_durations: bool = False
@@ -440,9 +377,10 @@ class ShardCoordinator:
         shipped as a single seq-tagged ``"query_batch"`` message per
         shard; each worker answers its group through one warm session's
         shared batched pass. Gathered answers are regrouped per original
-        request and merged exactly as :meth:`query` merges — results are
-        byte-identical to a serial loop, in input order. All requests
-        must share one preference (the service's batching key).
+        request and merged: ids concatenated in span order, durations
+        unioned, stats summed — results are byte-identical to answering
+        each request alone, in input order. All requests must share one
+        preference (the service's batching key).
         """
         requests = list(requests)
         if not requests:
@@ -553,8 +491,7 @@ class ShardCoordinator:
 
         All pipes are written before any response is awaited, so shards
         run genuinely in parallel; a crash triggers a restart and one
-        resubmit of exactly the lost payloads. Works for single
-        (``"query"``) and batched (``"query_batch"``) sub-requests alike.
+        resubmit of exactly the lost payloads.
         """
         trace_ctx = current_context()
         inflight: list[tuple[int, Any, ShardWorkerHandle | None, "Future[Any] | None"]] = []

@@ -23,12 +23,12 @@ present the worker collects its spans (engine/index work under a
 response element, so the coordinator can stitch one trace tree spanning
 both processes. Plain 3-tuples remain valid in both directions.
 
-Ops: ``"query"`` (the workhorse), ``"query_batch"`` (a whole batch of
-clipped sub-queries for one preference in one message, answered through
-the session's shared-pass ``query_batch``), ``"ping"`` (health check),
-``"stats"`` (pool/served counters), ``"exit"`` (clean shutdown). Errors are caught
-per message and shipped back as data — a bad request must fail *that
-request*, never the worker.
+Ops: ``"query_batch"`` (the workhorse: a batch of clipped sub-queries
+for one preference in one message — a lone query is a batch of one —
+answered through the session's shared-pass ``query_batch``), ``"ping"``
+(health check), ``"stats"`` (pool/served counters), ``"exit"`` (clean
+shutdown). Errors are caught per message and shipped back as data — a
+bad request must fail *that request*, never the worker.
 """
 
 from __future__ import annotations
@@ -63,35 +63,6 @@ def unpack_stats(data: dict[str, int]) -> QueryStats:
     return QueryStats(**{key: int(value) for key, value in data.items() if key in names})
 
 
-def _answer_query(engine: DurableTopKEngine, pool: SessionPool, payload: dict) -> dict:
-    """Run one clipped sub-query through a pooled per-preference session."""
-    scorer = payload["scorer"]
-    query = DurableTopKQuery(
-        k=payload["k"],
-        tau=payload["tau"],
-        interval=(payload["lo"], payload["hi"]),
-        direction=Direction(payload["direction"]),
-    )
-    key = preference_key(scorer)
-    session, pool_hit = pool.checkout(key, lambda: engine.session(scorer))
-    try:
-        result = session.query(
-            query,
-            algorithm=payload["algorithm"],
-            with_durations=payload["with_durations"],
-        )
-    finally:
-        pool.checkin(key, session)
-    return {
-        "ids": result.ids,
-        "durations": result.durations,
-        "stats": pack_stats(result.stats),
-        "elapsed": result.elapsed_seconds,
-        "algorithm": result.algorithm,
-        "pool_hit": pool_hit,
-    }
-
-
 def _answer_query_batch(engine: DurableTopKEngine, pool: SessionPool, payload: dict) -> list[dict]:
     """Run one batched sub-request: many clipped windows, one preference.
 
@@ -99,7 +70,7 @@ def _answer_query_batch(engine: DurableTopKEngine, pool: SessionPool, payload: d
     single message; the pooled session's
     :meth:`~repro.core.engine.EngineSession.query_batch` answers them in
     one shared pass (memoised windows, deduplicated twins), byte-identical
-    to a loop of ``"query"`` ops. Answers come back aligned with
+    to answering each sub-query alone. Answers come back aligned with
     ``payload["queries"]``.
     """
     scorer = payload["scorer"]
@@ -158,11 +129,7 @@ def shard_worker_main(
             remote = begin_remote(trace_ctx) if trace_ctx is not None else None
             spans: list[dict] | None = None
             try:
-                if op == "query":
-                    with trace_span("shard.worker", shard=span.shard, op=op, pid=os.getpid()):
-                        out = _answer_query(engine, pool, payload)
-                    served += 1
-                elif op == "query_batch":
+                if op == "query_batch":
                     with trace_span("shard.worker", shard=span.shard, op=op, pid=os.getpid()):
                         out = _answer_query_batch(engine, pool, payload)
                     served += len(payload["queries"])

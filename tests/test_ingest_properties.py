@@ -52,6 +52,11 @@ def check_equivalence(live: LiveDataset, scorer, rng, boundary: int | None) -> N
     if direction is Direction.PAST:
         # Independent oracle, not just the engine.
         assert got.ids == brute_force_durable_topk(scores, k, lo, hi, tau)
+    else:
+        # Look-ahead is look-back over the reversed scores: mirror the
+        # interval, run the oracle, map its ids back through t -> n-1-t.
+        mirrored = brute_force_durable_topk(scores[::-1], k, n - 1 - hi, n - 1 - lo, tau)
+        assert got.ids == sorted(n - 1 - t for t in mirrored), (n, k, tau, lo, hi)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])

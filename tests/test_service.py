@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro.core.engine import DurableTopKEngine, durable_topk
+from repro.core.query import Direction
 from repro.core.session import QuerySession
 from repro.minidb import MiniDB, t_base_procedure, t_hop_procedure
 from repro.scoring import LinearPreference
@@ -283,6 +284,56 @@ class TestAdmissionControl:
         assert executed and all(count == 1 for count in executed)
         # ...and at least the five trailing twins rode the leader's answer.
         assert service.metrics.snapshot().coalesced >= 5
+
+    def test_failed_batch_falls_back_to_batches_of_one(self, small_ind, linear_2d):
+        """One bad request fails only itself, not its batch.
+
+        A blocker stalls the lone worker so several look-back requests
+        and one look-ahead request (which the MiniDB procedures reject)
+        land in one same-preference pickup. The batched call fails as a
+        whole; the per-leader fallback then runs each request as a batch
+        of one. Only the look-ahead future fails, and every other answer
+        equals the same request served alone: ids, stats and pages."""
+        past = [
+            QueryRequest(scorer=linear_2d, k=k, tau=tau, interval=(100, 500), algorithm=algo)
+            for k, tau, algo in [(3, 20, "t-hop"), (5, 40, "t-base"), (2, 60, "t-hop")]
+        ]
+        ahead = QueryRequest(
+            scorer=linear_2d, k=3, tau=20, interval=(100, 500), direction=Direction.FUTURE
+        )
+        with MiniDB(small_ind, buffer_pages=16, block_rows=64) as db:
+            with DurableTopKService(MiniDBBackend(db), workers=1) as alone:
+                expected = [alone.query(request).result for request in past]
+
+            backend = MiniDBBackend(db)
+            gate = threading.Event()
+            calls: list[int] = []
+            original_execute_batch = backend.execute_batch
+
+            def gated_execute_batch(session, requests):
+                gate.wait(timeout=10)
+                calls.append(len(requests))
+                return original_execute_batch(session, requests)
+
+            backend.execute_batch = gated_execute_batch
+            with DurableTopKService(backend, workers=1) as service:
+                blocker = service.submit(self._request(linear_2d))
+                time.sleep(0.05)  # the worker takes the blocker's batch and stalls
+                futures = [service.submit(request) for request in past]
+                failing = service.submit(ahead)
+                gate.set()
+                assert blocker.result(timeout=10).ok
+                responses = [future.result(timeout=10) for future in futures]
+                with pytest.raises(ValueError, match="look-back queries only"):
+                    failing.result(timeout=10)
+        # The blocker, the failed batch of four, then four batches of one.
+        assert calls == [1, 4, 1, 1, 1, 1]
+        for response, alone in zip(responses, expected):
+            assert response.ok and response.batch_size == 4
+            assert response.result.ids == alone.ids
+            assert response.result.stats.as_dict() == alone.stats.as_dict()
+            for pages in ("logical_reads", "physical_reads", "topk_queries"):
+                assert response.result.extra[pages] == alone.extra[pages]
 
     def test_unbuildable_session_fails_futures_not_workers(self, small_ind, linear_2d):
         """A scorer the backend cannot open a session for (wrong d) must
