@@ -32,7 +32,9 @@ class ScoreArrayTopKIndex:
     """Range top-k over a fixed score array.
 
     Record ids are array positions, which equal normalised arrival times
-    throughout the library.
+    throughout the library. The index keeps a private, read-only copy of
+    ``scores``, so a caller that later mutates its array does not change
+    the answers.
     """
 
     def __init__(self, scores: np.ndarray) -> None:
@@ -41,13 +43,19 @@ class ScoreArrayTopKIndex:
             raise ValueError(f"scores must be 1-D, got shape {scores.shape}")
         if np.isnan(scores).any():
             raise ValueError("scores contain NaN; scoring function is invalid here")
-        self._scores = scores
         self._tree = MaxSegmentTree(scores)
+        self._scores = self._tree.values
 
     @property
     def n(self) -> int:
         """Number of indexed records."""
         return len(self._scores)
+
+    @property
+    def blocks_built(self) -> int:
+        """Segment-tree blocks a query has built so far (see
+        :class:`~repro.index.segment_tree.MaxSegmentTree`)."""
+        return self._tree.blocks_built
 
     def score(self, record_id: int) -> float:
         """Score of a single record."""

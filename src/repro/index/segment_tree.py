@@ -6,18 +6,44 @@ vector is fixed, all record scores are a flat float array and range top-k
 reduces to repeated range-argmax with exclusion, which a max segment tree
 answers in ``O(log n)`` each.
 
-The tree is built bottom-up over a power-of-two capacity with ``-inf``
-padding, stored in flat arrays for speed. It supports point updates so the
-same structure serves the (optional) streaming/append extension.
+The tree lives in flat arrays over a power-of-two capacity with ``-inf``
+padding, and the range loop walks them bottom-up. The preference is
+given at query time, so a tree is built inside the request that first
+uses it, while a look-back query reads only a few thousand rows of it.
+The tree is therefore built in two parts:
+
+* **eagerly**, the leaf values (the tree's private copy of its input)
+  and every node at or above *block height* — one node per
+  ``2**BLOCK_BITS`` leaves, computed from each block's max/argmax, and
+  the levels above it;
+* **lazily**, a block's lower nodes, the first time a range query's
+  clamped ``lo`` or ``hi`` falls inside that block. Every node below
+  block height that the bottom-up loop reads lies in ``block(lo)`` or
+  ``block(hi)``, so two byte lookups guard the loop. A block's flag is
+  set only after all its nodes are written, and a duplicate build
+  writes identical values, so concurrent first touches need no lock.
+
+The buffers are numpy arrays read through ``memoryview``: scalar reads
+cost what ``array('d')`` reads do, with no copy. As with ``array``, the
+GC never traverses their contents (the numpy arrays are not GC-tracked;
+each ``memoryview`` is one tracked object with one referent), which
+matters to a service holding hundreds of preference-bound trees
+(equally-sized lists would add ~500k scanned slots per tree to every
+gen-2 collection). Point updates serve the (optional) streaming/append
+extension.
 """
 
 from __future__ import annotations
 
-import math
-from array import array
 from typing import Sequence
 
+import numpy as np
+
 _NEG_INF = float("-inf")
+
+#: log2 of the leaves per lazily built block (4096 measured best; see
+#: EXPERIMENTS.md, "Lazy segment-tree blocks").
+BLOCK_BITS = 12
 
 
 class MaxSegmentTree:
@@ -25,7 +51,9 @@ class MaxSegmentTree:
 
     Ties are broken toward the *larger index* (later arrival), matching the
     canonical total order used throughout the library (see
-    :mod:`repro.core.order`).
+    :mod:`repro.core.order`). The tree copies ``values`` (which must not
+    hold NaN); a caller that later mutates its own array does not change
+    the answers.
 
     >>> st = MaxSegmentTree([5.0, 9.0, 9.0, 1.0])
     >>> st.range_argmax(0, 3)
@@ -34,43 +62,68 @@ class MaxSegmentTree:
     9.0
     """
 
-    __slots__ = ("_n", "_cap", "_val", "_arg")
+    __slots__ = ("_n", "_cap", "_val", "_arg", "_val_np", "_arg_np", "_shift", "_built")
 
     def __init__(self, values: Sequence[float]) -> None:
-        import numpy as np
-
         n = len(values)
         self._n = n
-        cap = 1 if n == 0 else 1 << max(0, math.ceil(math.log2(max(1, n))))
-        if cap < n:  # pragma: no cover - defensive, ceil above prevents this
-            cap *= 2
+        cap = 1 << (n - 1).bit_length() if n > 1 else 1
         self._cap = cap
-        # Vectorised bottom-up build: compute each level from the one below
-        # with numpy, then drop to ``array('d')``/``array('q')`` buffers.
-        # Scalar indexing on them beats list-of-PyObject access (contiguous
-        # doubles, no pointer chasing), ``frombytes`` is ~10x cheaper than
-        # ``tolist``, and — decisive for a service holding hundreds of
-        # preference-bound trees — the GC never traverses their contents,
-        # where equally-sized lists add ~500k scanned slots per tree to
-        # every gen-2 collection.
-        val = np.full(2 * cap, _NEG_INF)
-        arg = np.full(2 * cap, -1, dtype=np.int64)
-        val[cap : cap + n] = np.asarray(values, dtype=float)
-        arg[cap : cap + n] = np.arange(n)
-        lo = cap
-        while lo > 1:
-            left_v, right_v = val[lo : 2 * lo : 2], val[lo + 1 : 2 * lo : 2]
-            left_a, right_a = arg[lo : 2 * lo : 2], arg[lo + 1 : 2 * lo : 2]
+        shift = min(BLOCK_BITS, cap.bit_length() - 1)
+        self._shift = shift
+        val = np.empty(2 * cap)
+        arg = np.empty(2 * cap, dtype=np.int64)
+        leaves = val[cap:]
+        leaves[:n] = values
+        leaves[n:] = _NEG_INF
+        # Block-top nodes: each block's max, at its last position (later
+        # ids win ties; padding positions map to id -1, as in a full build).
+        width = 1 << shift
+        rows = leaves.reshape(-1, width)
+        top = len(rows)
+        last = width - 1 - np.argmax(rows[:, ::-1], axis=1)
+        ids = np.arange(0, cap, width) + last
+        val[top : 2 * top] = rows[np.arange(top), last]
+        arg[top : 2 * top] = np.where(ids < n, ids, -1)
+        self._val_np, self._arg_np = val, arg
+        self._fill_levels(top, 2 * top, top.bit_length() - 1)
+        self._val = memoryview(val)
+        self._arg = memoryview(arg)
+        self._built = bytearray(top)
+
+    def _fill_levels(self, start: int, stop: int, levels: int) -> None:
+        """Compute ``levels`` parent levels up from the nodes in ``[start, stop)``."""
+        val, arg = self._val_np, self._arg_np
+        for _ in range(levels):
+            left_v, right_v = val[start:stop:2], val[start + 1 : stop : 2]
+            left_a, right_a = arg[start:stop:2], arg[start + 1 : stop : 2]
             # ">=" keeps the right (later) child on ties.
             take_right = right_v >= left_v
-            half = lo // 2
-            val[half:lo] = np.where(take_right, right_v, left_v)
-            arg[half:lo] = np.where(take_right, right_a, left_a)
-            lo = half
-        self._val = array("d")
-        self._val.frombytes(val.tobytes())
-        self._arg = array("q")
-        self._arg.frombytes(arg.astype(np.int64, copy=False).tobytes())
+            start, stop = start // 2, stop // 2
+            val[start:stop] = np.where(take_right, right_v, left_v)
+            arg[start:stop] = np.where(take_right, right_a, left_a)
+
+    def _build_block(self, block: int) -> None:
+        """Write the nodes below block height of one block, then flag it."""
+        first = block << self._shift
+        ids = np.arange(first, first + (1 << self._shift))
+        ids[ids >= self._n] = -1
+        start = self._cap + first
+        self._arg_np[start : start + len(ids)] = ids
+        self._fill_levels(start, start + len(ids), self._shift - 1)
+        self._built[block] = 1
+
+    @property
+    def blocks_built(self) -> int:
+        """Blocks whose lower nodes a query or update has built so far."""
+        return self._built.count(1)
+
+    @property
+    def values(self) -> np.ndarray:
+        """Read-only view of the current leaf values."""
+        view = self._val_np[self._cap : self._cap + self._n]
+        view.flags.writeable = False
+        return view
 
     def __len__(self) -> int:
         return self._n
@@ -79,6 +132,8 @@ class MaxSegmentTree:
         """Set ``values[index] = value`` and repair the path to the root."""
         if not 0 <= index < self._n:
             raise IndexError(f"index {index} out of range [0, {self._n})")
+        if not self._built[index >> self._shift]:
+            self._build_block(index >> self._shift)
         val, arg = self._val, self._arg
         i = self._cap + index
         val[i] = float(value)
@@ -107,6 +162,11 @@ class MaxSegmentTree:
         hi = min(hi, self._n - 1)
         if hi < lo:
             return _NEG_INF, -1
+        built, shift = self._built, self._shift
+        if not (built[lo >> shift] and built[hi >> shift]):
+            for block in (lo >> shift, hi >> shift):
+                if not built[block]:
+                    self._build_block(block)
         val, arg, cap = self._val, self._arg, self._cap
         best_v, best_i = _NEG_INF, -1
         left = lo + cap

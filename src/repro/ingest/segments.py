@@ -30,7 +30,10 @@ def score_index(scorer, values: np.ndarray, reverse: bool = False) -> ScoreArray
     """A top-k index over ``scorer``'s scores of ``values``.
 
     ``reverse`` indexes the scores in reversed arrival order, the
-    time-reversed domain look-ahead queries run over.
+    time-reversed domain look-ahead queries run over. The build scores
+    every row but builds only the segment tree's upper levels; each
+    block of its lower levels is built the first time a probe reads
+    inside it (see :class:`~repro.index.segment_tree.MaxSegmentTree`).
     """
     scores = scorer.scores(values)
     return ScoreArrayTopKIndex(scores[::-1] if reverse else scores)
@@ -82,11 +85,13 @@ class Segment:
     def index_for(self, scorer, reverse: bool = False) -> ScoreArrayTopKIndex:
         """The segment's top-k index under ``scorer`` (cached).
 
-        The build is a single vectorised scoring pass plus a segment-tree
-        build; racing first-touchers may build duplicates (last one is
-        cached) — harmless, unlike the engine's expensive index builds,
-        so no single-flighting here. ``reverse`` indexes the scores in
-        reversed arrival order for look-ahead queries.
+        The build is a single vectorised scoring pass plus the upper
+        levels of a segment tree whose lower blocks are built on first
+        touch (:func:`score_index`); racing first-touchers may build
+        duplicates (last one is cached) — harmless, unlike the engine's
+        expensive index builds, so no single-flighting here. ``reverse``
+        indexes the scores in reversed arrival order for look-ahead
+        queries.
         """
         key = (preference_key(scorer), reverse)
         with self._lock:

@@ -3,8 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.core.engine import DurableTopKEngine
+from repro.core.query import DurableTopKQuery
+from repro.core.record import Dataset
 from repro.core.reference import brute_force_topk
+from repro.index import segment_tree
 from repro.index.range_topk import ScoreArrayTopKIndex
+from repro.scoring import LinearPreference
 
 
 @pytest.fixture(scope="module")
@@ -75,3 +80,30 @@ def test_matches_brute_force_with_ties():
 def test_score_accessor(scores, index):
     assert index.score(17) == pytest.approx(float(scores[17]))
     assert index.n == 500
+
+
+def test_index_owns_a_copy_of_its_scores():
+    rng = np.random.default_rng(6)
+    source = rng.integers(0, 8, 400).astype(float)
+    reference = source.copy()
+    index = ScoreArrayTopKIndex(source)
+    source[:] = rng.random(400) * 100
+    assert index.score(17) == reference[17]
+    for lo, hi in ((0, 399), (5, 90), (123, 321)):
+        assert index.topk(7, lo, hi) == brute_force_topk(reference, 7, lo, hi)
+        assert index.topk_batch(7, [(lo, hi)]) == [brute_force_topk(reference, 7, lo, hi)]
+
+
+def test_t_hop_builds_only_blocks_its_windows_read(monkeypatch):
+    monkeypatch.setattr(segment_tree, "BLOCK_BITS", 8)
+    rng = np.random.default_rng(8)
+    engine = DurableTopKEngine(Dataset(rng.random((20_000, 2))))
+    session = engine.session(LinearPreference([0.4, 0.6]))
+    assert session.index.blocks_built == 0
+    lo, hi, tau = 9_000, 10_999, 1_000
+    result = session.query(DurableTopKQuery(k=5, tau=tau, interval=(lo, hi)), algorithm="t-hop")
+    assert result.ids
+    touched = range((lo - tau) >> 8, (hi >> 8) + 1)
+    built = [block for block, flag in enumerate(session.index._tree._built) if flag]
+    assert built and set(built) <= set(touched)
+    assert session.index.blocks_built == len(built) < 20_000 >> 8
