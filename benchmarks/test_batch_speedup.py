@@ -1,17 +1,17 @@
 """Batched-execution benchmark: one traversal answers a whole batch.
 
-Asserts the tentpole claim of the batching tier: at batch size 16 on
-the Zipfian same-preference workload, per-query CPU time through
-``query_batch`` drops to at most a third of the serial ``query`` loop
-— duplicates collapse onto one execution, near-duplicates share
-memoised durability windows, and opening windows are thresholded in one
-vectorised pass. The full speedup curve goes to
-``results/batch_speedup.txt``.
+On the Zipfian same-preference workload, per-query CPU time through
+``query_batch`` falls as the batch grows — duplicates collapse onto one
+execution, near-duplicates share memoised durability windows, and
+opening windows are thresholded in one vectorised pass. The full
+speedup curve goes to ``results/batch_speedup.txt``.
 
-CPU time (``time.process_time``) rather than wall time keeps the
-assertion meaningful on loaded or single-core CI boxes; byte-identity
-of every batched answer against the serial loop is asserted
-unconditionally — a speedup over wrong answers is no speedup.
+Byte-identity of every batched answer against the serial loop is
+asserted unconditionally — a speedup over wrong answers is no speedup.
+The curve must rise from batch 1 to batch 16; its size is a measured
+figure, not a gate (EXPERIMENTS.md, "Scan or descend": the serial side
+got cheaper once narrow top-k windows scan, so the batch-16 ratio fell
+below the 3x this test once asserted).
 """
 
 from repro.experiments.batch_bench import batch_speedup_bench
@@ -29,9 +29,7 @@ def test_batch_speedup(save_report):
     assert result.data["verified"] == result.data["requests"]
     assert result.data["coalesced"] > 0, result.report
 
-    # Performance half: curve monotone enough to be real, and the
-    # headline — >= 3x per-query CPU drop at batch 16.
+    # Performance half: the curve rises from batch 1 to batch 16.
     speedup = result.data["speedup"]
     assert all(size in speedup for size in (1, 4, 8, 16))
     assert speedup[16] > speedup[1], result.report
-    assert speedup[16] >= 3.0, result.report

@@ -4,15 +4,28 @@ The planner prices algorithms with the Lemma 4/5 expectations. Across a
 grid of query shapes (selectivity x dimensionality), the planner's pick
 must stay within a small factor of the fastest measured algorithm — the
 executable version of the paper's Section VI guidance.
+
+The same cost model also decides, per top-k call, whether to scan a
+window or descend the segment tree. The report gives the window width
+where a scan starts to cost more than a descent, as measured and as the
+default and freshly calibrated models price it.
 """
+
+import time
 
 from repro.data import generate_network, network_variant
 from repro.experiments.harness import run_algorithm_suite
 from repro.experiments.report import format_table
 from repro.core.engine import DurableTopKEngine
+from repro.core.planner import CostModel
 from repro.core.query import DurableTopKQuery
+from repro.experiments.calibration import calibrate_cost_model
+from repro.index.range_topk import ScoreArrayTopKIndex
+from repro.index.topk import window_topk
 from repro.scoring import LinearPreference
 import numpy as np
+
+CROSSOVER_WIDTHS = [1_000 * 2**i for i in range(7)]
 
 
 def _measure():
@@ -51,11 +64,52 @@ def _measure():
     return rows
 
 
+def _per_call_us(call, k, starts, width):
+    for lo in starts:  # untimed: first touches build tree blocks
+        call(k, int(lo), int(lo) + width - 1)
+    start = time.perf_counter()
+    for lo in starts:
+        call(k, int(lo), int(lo) + width - 1)
+    return (time.perf_counter() - start) / len(starts) * 1e6
+
+
+def _crossovers():
+    """Per k: the narrowest width where scanning costs more than descending."""
+    n = 120_000
+    scores = np.random.default_rng(5).random(n)
+    index = ScoreArrayTopKIndex(scores)
+    default, calibrated = CostModel(), calibrate_cost_model()
+    rng = np.random.default_rng(6)
+    rows = []
+    for k in (1, 5, 10, 50):
+        measured, narrower = f"> {CROSSOVER_WIDTHS[-1]:,}", 0
+        for width in CROSSOVER_WIDTHS:
+            starts = rng.integers(0, n - width, 100)
+            scan = _per_call_us(lambda k, lo, hi: window_topk(scores, k, lo, hi), k, starts, width)
+            descend = _per_call_us(index.descend, k, starts, width)
+            if scan > descend:
+                measured = f"{narrower:,}-{width:,}"
+                break
+            narrower = width
+        rows.append(
+            {
+                "k": k,
+                "measured": measured,
+                "default_model": f"{default.scale_topk(k) / default.scan_per_row:,.0f}",
+                "calibrated_model": f"{calibrated.scale_topk(k) / calibrated.scan_per_row:,.0f}",
+            }
+        )
+    return rows
+
+
 def test_planner_validation(benchmark, save_report):
     rows = benchmark.pedantic(_measure, rounds=1, iterations=1)
+    crossovers = _crossovers()
     save_report(
         "planner_validation",
-        format_table(rows, title="Planner validation — auto choice vs measured best"),
+        format_table(rows, title="Planner validation — auto choice vs measured best")
+        + "\n\n"
+        + format_table(crossovers, title="Scan/descend crossover width per top-k call (rows)"),
     )
     for row in rows:
         assert row["overhead"] <= 3.0, row

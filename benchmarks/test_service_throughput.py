@@ -1,19 +1,19 @@
 """Throughput benchmark: session-pooled service vs naive global lock.
 
-Asserts the tentpole claim of the serving layer: at 8 workers on the
-synthetic Zipfian workload, the session-pooled batched
-:class:`~repro.service.service.DurableTopKService` beats the
-lock-around-the-engine baseline by >= 3x completed-requests-per-second,
-with zero rejected and zero incorrect responses. The measured
-p50/p95/p99 latencies of both sides go to
-``results/service_throughput.txt``.
+At 8 workers on the synthetic Zipfian workload, the session-pooled
+batched :class:`~repro.service.service.DurableTopKService` and the
+lock-around-the-engine baseline both answer every request correctly,
+and the pool builds each preference's session at most once. The
+measured throughput ratio and the p50/p95/p99 latencies of both sides
+go to ``results/service_throughput.txt``.
 
 Rounds are interleaved naive/pooled and compared best-vs-best after an
-untimed warmup (see :mod:`repro.experiments.service_bench`), which is
-what makes the wall-clock assertion stable enough to gate on: the gap is
-structural (the pool builds each preference-bound index once; the naive
-baseline's 8-entry LRU rebuilds evicted preferences all run long), not a
-scheduling accident.
+untimed warmup (see :mod:`repro.experiments.service_bench`). The ratio
+is a measured figure, not a gate: it once held at >= 3x because the
+naive baseline's 8-entry LRU rebuilt evicted preference-bound segment
+trees all run long. Sessions are now one scoring pass and narrow
+windows scan, so those rebuilds cost little and the ratio fell below
+1x (EXPERIMENTS.md, "Scan or descend").
 """
 
 from repro.experiments.service_bench import service_throughput_bench
@@ -37,6 +37,4 @@ def test_service_throughput(save_report):
     # hundreds of times on this stream). Batching soaks up the rest.
     assert result.data["pool"]["misses"] <= 128
     assert result.data["pooled"]["mean_batch_size"] > 1.0
-    # The headline: >= 3x throughput at 8 workers.
     assert result.data["workers"] == 8
-    assert result.data["speedup"] >= 3.0, result.report

@@ -28,17 +28,30 @@ class CostModel:
 
     Defaults were calibrated on this repo's benchmark machine: one top-k
     building-block query costs roughly 40x one sequential per-record step,
-    and sorting costs ~2 log-factors per record.
+    sorting costs ~2 log-factors per record, and scanning a window's
+    scores (one ``np.partition``) costs ~1/500 of a record step per row,
+    so a top-k call scans windows of up to 25k rows at ``k = 5`` and
+    30k rows at ``k = 10`` (:meth:`scans`).
     """
 
     topk_query: float = 40.0
     per_record: float = 1.0
     per_candidate: float = 3.0
     sort_per_record: float = 2.5
+    scan_per_row: float = 0.002
 
     def scale_topk(self, k: int) -> float:
         """Top-k query cost grows with k (heap rounds / deeper search)."""
         return self.topk_query * (1.0 + 0.05 * k)
+
+    def scans(self, width: int, k: int) -> bool:
+        """Whether one top-k call over a ``width``-row window should scan
+        the window's scores rather than descend the segment tree.
+
+        A scan costs ``scan_per_row`` per row of the window; a descent
+        costs one top-k query at rank ``k``, whatever the width.
+        """
+        return width * self.scan_per_row <= self.scale_topk(k)
 
 
 @dataclass(frozen=True)

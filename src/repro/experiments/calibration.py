@@ -1,10 +1,11 @@
 """Measuring machine constants for the cost-based planner.
 
 The planner's :class:`~repro.core.planner.CostModel` ships with defaults
-calibrated on one machine. This module re-measures the two ratios that
+calibrated on one machine. This module re-measures the ratios that
 matter on *your* machine — the cost of one top-k building-block query
-versus one sequential per-record step, and per-record sort cost — by
-running micro-benchmarks on a provided (or synthetic) dataset.
+(a segment-tree descent) versus one sequential per-record step, the
+per-record sort cost, and the per-row cost of scanning a window's scores
+— by running micro-benchmarks on a provided (or synthetic) dataset.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import numpy as np
 from repro.core.planner import CostModel
 from repro.core.record import Dataset
 from repro.index.range_topk import ScoreArrayTopKIndex
+from repro.index.topk import window_topk
 
 __all__ = ["calibrate_cost_model"]
 
@@ -55,13 +57,13 @@ def calibrate_cost_model(
     index = ScoreArrayTopKIndex(scores)
     n = dataset.n
 
-    # Primitive 1: one top-k query on a random tau-sized window.
+    # Primitive 1: one top-k query by descent on a random tau-sized window.
     windows = rng.integers(0, max(1, n - n // 10), size=repeats)
 
     def one_topk():
         lo = int(windows[one_topk.i % repeats])
         one_topk.i += 1
-        index.topk(k, lo, lo + n // 10)
+        index.descend(k, lo, lo + n // 10)
 
     # One untimed pass first: each window's first touch builds segment-tree
     # blocks, which is index set-up, not the cost of a top-k query.
@@ -95,10 +97,27 @@ def calibrate_cost_model(
 
     sort_s = _time_per_call(one_sort, max(1, repeats // 20)) / block
 
+    # Primitive 4: scanning a window's scores, per row. Windows span half
+    # the data, so the per-call overhead is a small share of the time.
+    width = max(1, n // 2)
+    scan_windows = rng.integers(0, n - width + 1, size=repeats)
+
+    def one_scan():
+        lo = int(scan_windows[one_scan.i % repeats])
+        one_scan.i += 1
+        window_topk(scores, k, lo, lo + width - 1)
+
+    # Untimed pass first, like the descent's.
+    one_scan.i = 0
+    for _ in range(repeats):
+        one_scan()
+    scan_s = _time_per_call(one_scan, repeats) / width
+
     per_record_unit = max(record_s, 1e-9)
     return CostModel(
         topk_query=topk_s / per_record_unit,
         per_record=1.0,
         per_candidate=3.0,
         sort_per_record=max(sort_s / per_record_unit, 0.1),
+        scan_per_row=scan_s / per_record_unit,
     )

@@ -2,19 +2,30 @@
 
 The paper treats the basic top-k query as a pluggable black box (Section
 II). This module provides the pragmatic block used by default: once a
-preference vector is fixed, every record's score is a single float, the
-score array goes into a max segment tree, and a range top-k query is ``k``
-rounds of *range-argmax with exclusion* driven by a heap of sub-ranges —
-the classic ``O(k log n)`` technique:
+preference vector is fixed, every record's score is a single float, and
+each range top-k call takes one of two paths, chosen per call:
 
-1. push the whole query range with its argmax;
-2. pop the best range, report its argmax ``i``;
-3. split the range at ``i`` into ``[lo, i-1]`` and ``[i+1, hi]`` and push
-   both with their argmaxes.
+* **scan** — one ``np.partition`` over the window's score slice finds
+  the k-th largest score, and the cells at or above it are put in order
+  (:func:`repro.index.topk.window_topk`). ``O(width)``, all in C.
+* **descend** — ``k`` rounds of *range-argmax with exclusion* over a max
+  segment tree, driven by a heap of sub-ranges (the classic
+  ``O(k log n)`` technique): push the whole range with its argmax; pop
+  the best range and report its argmax ``i``; split the range at ``i``
+  into ``[lo, i-1]`` and ``[i+1, hi]`` and push both with their argmaxes.
 
-Ties follow the library's canonical total order (higher score wins, later
-arrival wins ties), so results are deterministic and identical to the
-brute-force oracle.
+The choice is one inequality from the planner's cost model
+(:meth:`repro.core.planner.CostModel.scans`): the window's width priced
+per scanned row against a descent's price for ``k``. T-Hop's durability
+windows are ``tau + 1`` rows, so most calls scan; wide windows (a
+large ``tau``, or S-Hop's candidate queries over a long interval)
+descend. The index
+owns only its score array: the segment tree is built the first time a
+call descends, and its blocks on first touch after that.
+
+Both paths follow the library's canonical total order (higher score
+wins, later arrival wins ties), so results are deterministic and
+identical to the brute-force oracle whichever path answers.
 """
 
 from __future__ import annotations
@@ -23,9 +34,14 @@ import heapq
 
 import numpy as np
 
+from repro.core.planner import CostModel
 from repro.index.segment_tree import MaxSegmentTree
+from repro.index.topk import batched_window_topk, window_topk
 
 __all__ = ["ScoreArrayTopKIndex"]
+
+#: The model that prices scan against descent for every call.
+COST_MODEL = CostModel()
 
 
 class ScoreArrayTopKIndex:
@@ -34,17 +50,30 @@ class ScoreArrayTopKIndex:
     Record ids are array positions, which equal normalised arrival times
     throughout the library. The index keeps a private, read-only copy of
     ``scores``, so a caller that later mutates its array does not change
-    the answers.
+    the answers; :meth:`adopt` takes an array the caller hands over
+    instead of copying it.
     """
 
     def __init__(self, scores: np.ndarray) -> None:
-        scores = np.asarray(scores, dtype=float)
+        self._bind(np.array(scores, dtype=float))
+
+    @classmethod
+    def adopt(cls, scores: np.ndarray) -> "ScoreArrayTopKIndex":
+        """Index ``scores`` without copying it (unless it is not
+        contiguous, e.g. a reversed view). The caller gives up the array:
+        it must not mutate it afterwards."""
+        index = cls.__new__(cls)
+        index._bind(np.ascontiguousarray(scores, dtype=float))
+        return index
+
+    def _bind(self, scores: np.ndarray) -> None:
         if scores.ndim != 1:
             raise ValueError(f"scores must be 1-D, got shape {scores.shape}")
         if np.isnan(scores).any():
             raise ValueError("scores contain NaN; scoring function is invalid here")
-        self._tree = MaxSegmentTree(scores)
-        self._scores = self._tree.values
+        scores.flags.writeable = False
+        self._scores = scores
+        self._tree: MaxSegmentTree | None = None
 
     @property
     def n(self) -> int:
@@ -53,9 +82,17 @@ class ScoreArrayTopKIndex:
 
     @property
     def blocks_built(self) -> int:
-        """Segment-tree blocks a query has built so far (see
-        :class:`~repro.index.segment_tree.MaxSegmentTree`)."""
-        return self._tree.blocks_built
+        """Segment-tree blocks a descent has built so far (0 while no call
+        has descended; see :class:`~repro.index.segment_tree.MaxSegmentTree`)."""
+        return 0 if self._tree is None else self._tree.blocks_built
+
+    def _descent_tree(self) -> MaxSegmentTree:
+        # Racing first descents may each build a tree; they are equal, and
+        # the last one assigned is kept.
+        tree = self._tree
+        if tree is None:
+            tree = self._tree = MaxSegmentTree(self._scores)
+        return tree
 
     def score(self, record_id: int) -> float:
         """Score of a single record."""
@@ -63,23 +100,41 @@ class ScoreArrayTopKIndex:
 
     def top1(self, lo: int, hi: int) -> int | None:
         """Id of the best record in ``[lo, hi]``, or ``None`` if empty."""
-        _, arg = self._tree.range_max_with_argmax(lo, hi)
-        return None if arg < 0 else arg
+        lo = max(lo, 0)
+        hi = min(hi, self.n - 1)
+        if hi < lo:
+            return None
+        if COST_MODEL.scans(hi - lo + 1, 1):
+            # argmax takes the first maximum; over the reversed slice that
+            # is the latest one, as the canonical order wants.
+            return hi - int(np.argmax(self._scores[lo : hi + 1][::-1]))
+        return self._descent_tree().range_max_with_argmax(lo, hi)[1]
 
     def topk(self, k: int, lo: int, hi: int) -> list[int]:
         """Top-``k`` record ids in ``[lo, hi]``, best first.
 
         Returns fewer than ``k`` ids when the range holds fewer records.
         The order is the canonical total order: descending score, ties
-        broken toward the later arrival.
+        broken toward the later arrival. Scans or descends, whichever
+        :data:`COST_MODEL` prices lower for this width and ``k``.
         """
+        lo = max(lo, 0)
+        hi = min(hi, self.n - 1)
+        if k > 0 and hi >= lo and COST_MODEL.scans(hi - lo + 1, k):
+            return window_topk(self._scores, k, lo, hi)
+        return self.descend(k, lo, hi)
+
+    def descend(self, k: int, lo: int, hi: int) -> list[int]:
+        """:meth:`topk` by segment-tree descent, whatever the width (the
+        path :func:`~repro.experiments.calibration.calibrate_cost_model`
+        times). Builds the tree on the first non-empty call."""
         if k <= 0:
             return []
         lo = max(lo, 0)
         hi = min(hi, self.n - 1)
         if hi < lo:
             return []
-        tree = self._tree
+        tree = self._descent_tree()
         value, arg = tree.range_max_with_argmax(lo, hi)
         # Heap entries: (-score, -id, range_lo, range_hi). Negated id makes
         # later arrivals win ties, matching the canonical order.
@@ -105,8 +160,6 @@ class ScoreArrayTopKIndex:
         single ``np.partition`` over the stacked candidate matrix — see
         :func:`repro.index.topk.batched_window_topk`.
         """
-        from repro.index.topk import batched_window_topk
-
         return batched_window_topk(self._scores, k, windows)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

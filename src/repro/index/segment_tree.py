@@ -1,16 +1,18 @@
 """Static max segment tree with argmax descent.
 
-This backs the pragmatic top-k building block
+This backs the descend path of the pragmatic top-k building block
 (:class:`repro.index.range_topk.ScoreArrayTopKIndex`): once a preference
 vector is fixed, all record scores are a flat float array and range top-k
 reduces to repeated range-argmax with exclusion, which a max segment tree
-answers in ``O(log n)`` each.
+answers in ``O(log n)`` each. That block scans narrow windows instead and
+builds its tree only the first time a call's window is wide enough to
+descend, so a preference whose windows all scan never builds one.
 
 The tree lives in flat arrays over a power-of-two capacity with ``-inf``
 padding, and the range loop walks them bottom-up. The preference is
 given at query time, so a tree is built inside the request that first
-uses it, while a look-back query reads only a few thousand rows of it.
-The tree is therefore built in two parts:
+descends, while that request reads only part of it. The tree is
+therefore built in two parts:
 
 * **eagerly**, the leaf values (the tree's private copy of its input)
   and every node at or above *block height* — one node per
@@ -117,13 +119,6 @@ class MaxSegmentTree:
     def blocks_built(self) -> int:
         """Blocks whose lower nodes a query or update has built so far."""
         return self._built.count(1)
-
-    @property
-    def values(self) -> np.ndarray:
-        """Read-only view of the current leaf values."""
-        view = self._val_np[self._cap : self._cap + self._n]
-        view.flags.writeable = False
-        return view
 
     def __len__(self) -> int:
         return self._n

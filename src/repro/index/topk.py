@@ -35,6 +35,7 @@ __all__ = [
     "BatchTopKMemo",
     "batched_window_topk",
     "build_topk_index",
+    "window_topk",
     "TopKKind",
 ]
 
@@ -187,15 +188,35 @@ def batched_window_topk(
             out.append([])
             continue
         chosen = np.nonzero(selected[r])[0]
-        if len(chosen) == 0:
-            out.append([])
-            continue
-        # Canonical order: descending score, ties toward the larger id
-        # (larger column == larger id within a row).
-        order = np.lexsort((chosen, matrix[r, chosen]))[::-1]
-        base = int(lo_arr[r])
-        out.append([base + int(c) for c in chosen[order]])
+        out.append(_best_first(chosen + lo_arr[r], matrix[r, chosen], kk))
     return out
+
+
+def window_topk(scores: np.ndarray, k: int, lo: int, hi: int) -> list[int]:
+    """Top-``k`` ids of one in-bounds window ``[lo, hi]`` by scanning it.
+
+    The single-window twin of :func:`batched_window_topk`: one
+    ``np.partition`` over ``scores[lo:hi + 1]`` finds the k-th largest
+    score, every cell at or above it is a candidate, and the candidates
+    are put in the canonical order (descending score, later arrival wins
+    ties) before the first ``k`` are kept. The caller clamps; ``k >= 1``
+    and ``lo <= hi`` are assumed. ``O(width)`` plus a sort of the
+    candidates, all in C.
+    """
+    window = scores[lo : hi + 1]
+    width = len(window)
+    if k < width:
+        threshold = np.partition(window, width - k)[width - k]
+        chosen = np.flatnonzero(window >= threshold)
+    else:
+        chosen = np.arange(width)
+    return _best_first(chosen + lo, window[chosen], k)
+
+
+def _best_first(ids: np.ndarray, values: np.ndarray, k: int) -> list[int]:
+    """The first ``k`` of ``ids`` in the canonical order: descending
+    score, ties toward the larger id."""
+    return ids[np.lexsort((-ids, -values))[:k]].tolist()
 
 
 class BatchTopKMemo:
@@ -273,8 +294,9 @@ def build_topk_index(dataset, scorer, method: str = "auto") -> TopKIndex:
         A :class:`repro.scoring.base.ScoringFunction` already parameterised
         by the user's preference vector.
     method:
-        ``"score_array"`` — materialise all scores and build the segment
-        tree block (works for any scoring function);
+        ``"score_array"`` — materialise all scores into the scan-or-descend
+        block, which builds its segment tree only if a call descends
+        (works for any scoring function);
         ``"skyline_tree"`` — the paper's Appendix-A index (requires a
         monotone scoring function; the per-dataset tree is built on first
         use and cached on the dataset);
@@ -296,5 +318,4 @@ def build_topk_index(dataset, scorer, method: str = "auto") -> TopKIndex:
         tree = dataset.get_or_build("skyline_tree", lambda: SkylineTree(dataset))
         return tree.bind(scorer)
 
-    scores = scorer.scores(dataset.values)
-    return ScoreArrayTopKIndex(scores)
+    return ScoreArrayTopKIndex.adopt(scorer.scores(dataset.values))

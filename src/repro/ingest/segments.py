@@ -30,13 +30,15 @@ def score_index(scorer, values: np.ndarray, reverse: bool = False) -> ScoreArray
     """A top-k index over ``scorer``'s scores of ``values``.
 
     ``reverse`` indexes the scores in reversed arrival order, the
-    time-reversed domain look-ahead queries run over. The build scores
-    every row but builds only the segment tree's upper levels; each
-    block of its lower levels is built the first time a probe reads
-    inside it (see :class:`~repro.index.segment_tree.MaxSegmentTree`).
+    time-reversed domain look-ahead queries run over. The build is one
+    scoring pass, and the index adopts the scored array without copying
+    it (a reversed one is made contiguous once). Narrow windows are then
+    answered by scanning that array; a segment tree is built only if a
+    call's window is wide enough to descend (see
+    :mod:`repro.index.range_topk`).
     """
     scores = scorer.scores(values)
-    return ScoreArrayTopKIndex(scores[::-1] if reverse else scores)
+    return ScoreArrayTopKIndex.adopt(scores[::-1] if reverse else scores)
 
 
 class Segment:
@@ -85,9 +87,9 @@ class Segment:
     def index_for(self, scorer, reverse: bool = False) -> ScoreArrayTopKIndex:
         """The segment's top-k index under ``scorer`` (cached).
 
-        The build is a single vectorised scoring pass plus the upper
-        levels of a segment tree whose lower blocks are built on first
-        touch (:func:`score_index`); racing first-touchers may build
+        The build is a single vectorised scoring pass; the index scans
+        narrow windows and builds a segment tree only when a wide window
+        descends (:func:`score_index`). Racing first-touchers may build
         duplicates (last one is cached) — harmless, unlike the engine's
         expensive index builds, so no single-flighting here. ``reverse``
         indexes the scores in reversed arrival order for look-ahead
@@ -193,8 +195,12 @@ class SegmentedTopKIndex:
     id ranges ``[base, base + length)``; ``build()`` returns the part's
     :class:`~repro.index.range_topk.ScoreArrayTopKIndex` and is called
     only the first time a ``topk``/``topk_batch``/``top1``/``score`` call
-    lands in that part, so a query pays index builds only for the parts
-    its windows read. Ids returned are global. Implements the
+    lands in that part, so a query pays index builds (one scoring pass
+    each) only for the parts its windows read. Each per-part answer
+    scans or descends as that part's index chooses for the clipped
+    window, so a window that straddles parts scans each piece and no
+    part builds a segment tree for narrow windows. Ids returned are
+    global. Implements the
     :class:`~repro.index.topk.TopKIndex` protocol, so the engine-side
     algorithms (and the counting wrapper) use it unchanged.
     """

@@ -27,6 +27,13 @@ class TestCalibration:
         # A top-k query must cost more than a single record step.
         assert model.topk_query > 1.0
         assert model.sort_per_record > 0.0
+        # Scanning a row costs far less than one record step.
+        assert 0.0 < model.scan_per_row < 1.0
+
+    def test_default_model_scans_narrow_windows_and_descends_wide_ones(self):
+        model = CostModel()
+        assert model.scans(1_001, 10)
+        assert not model.scans(60_000, 5)
 
     def test_calibrated_model_usable_by_planner(self):
         from repro.core.planner import choose_algorithm

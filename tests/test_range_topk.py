@@ -97,13 +97,19 @@ def test_index_owns_a_copy_of_its_scores():
 def test_t_hop_builds_only_blocks_its_windows_read(monkeypatch):
     monkeypatch.setattr(segment_tree, "BLOCK_BITS", 8)
     rng = np.random.default_rng(8)
-    engine = DurableTopKEngine(Dataset(rng.random((20_000, 2))))
-    session = engine.session(LinearPreference([0.4, 0.6]))
-    assert session.index.blocks_built == 0
-    lo, hi, tau = 9_000, 10_999, 1_000
-    result = session.query(DurableTopKQuery(k=5, tau=tau, interval=(lo, hi)), algorithm="t-hop")
-    assert result.ids
+    engine = DurableTopKEngine(Dataset(rng.random((60_000, 2))))
+    # Narrow windows (tau + 1 = 1,001 rows) all scan: no tree is built.
+    narrow = engine.session(LinearPreference([0.4, 0.6]))
+    query = DurableTopKQuery(k=5, tau=1_000, interval=(9_000, 10_999))
+    assert narrow.query(query, algorithm="t-hop").ids
+    assert narrow.index._tree is None and narrow.index.blocks_built == 0
+    # Wide windows (30,001 rows) descend, and the tree builds only the
+    # blocks those windows read.
+    wide = engine.session(LinearPreference([0.7, 0.3]))
+    lo, hi, tau = 40_000, 59_999, 30_000
+    query = DurableTopKQuery(k=5, tau=tau, interval=(lo, hi))
+    assert wide.query(query, algorithm="t-hop").ids
     touched = range((lo - tau) >> 8, (hi >> 8) + 1)
-    built = [block for block, flag in enumerate(session.index._tree._built) if flag]
+    built = [block for block, flag in enumerate(wide.index._tree._built) if flag]
     assert built and set(built) <= set(touched)
-    assert session.index.blocks_built == len(built) < 20_000 >> 8
+    assert wide.index.blocks_built == len(built) < 60_000 >> 8

@@ -157,7 +157,6 @@ def test_tree_owns_a_copy_of_its_input():
     values[:] = [9.0, 0.0, 0.0, 0.0]
     assert st.range_max_with_argmax(0, 3) == (7.0, 1)
     assert st.value_at(0) == 1.0
-    assert not st.values.flags.writeable
 
 
 def test_concurrent_first_touches_get_reference_answers():
