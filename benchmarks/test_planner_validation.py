@@ -11,7 +11,9 @@ where a scan starts to cost more than a descent, as measured and as the
 default and freshly calibrated models price it.
 """
 
+import math
 import time
+from unittest import mock
 
 from repro.data import generate_network, network_variant
 from repro.experiments.harness import run_algorithm_suite
@@ -20,12 +22,12 @@ from repro.core.engine import DurableTopKEngine
 from repro.core.planner import CostModel
 from repro.core.query import DurableTopKQuery
 from repro.experiments.calibration import calibrate_cost_model
+from repro.index import range_topk
 from repro.index.range_topk import ScoreArrayTopKIndex
-from repro.index.topk import window_topk
 from repro.scoring import LinearPreference
 import numpy as np
 
-CROSSOVER_WIDTHS = [1_000 * 2**i for i in range(7)]
+CROSSOVER_WIDTHS = [250 * 2**i for i in range(10)]
 
 
 def _measure():
@@ -64,39 +66,59 @@ def _measure():
     return rows
 
 
-def _per_call_us(call, k, starts, width):
+def _per_call_us(call, starts, width):
     for lo in starts:  # untimed: first touches build tree blocks
-        call(k, int(lo), int(lo) + width - 1)
+        call(int(lo), int(lo) + width - 1)
     start = time.perf_counter()
     for lo in starts:
-        call(k, int(lo), int(lo) + width - 1)
+        call(int(lo), int(lo) + width - 1)
     return (time.perf_counter() - start) / len(starts) * 1e6
 
 
 def _crossovers():
-    """Per k: the narrowest width where scanning costs more than descending."""
-    n = 120_000
-    scores = np.random.default_rng(5).random(n)
-    index = ScoreArrayTopKIndex(scores)
+    """Per call shape: the narrowest width where scanning costs more than
+    descending, measured with each path forced, next to the models'."""
+    n = 130_000
+    rng = np.random.default_rng(5)
+    uniform = rng.random(n)
+    # Eight distinct values: the k-th score is tied thousands of times.
+    tied = rng.integers(0, 8, n).astype(float)
     default, calibrated = CostModel(), calibrate_cost_model()
-    rng = np.random.default_rng(6)
+    scan, descend = CostModel(scan_per_row=0.0), CostModel(scan_per_row=math.inf)
     rows = []
-    for k in (1, 5, 10, 50):
+    for label, scores, k in [
+        ("top1", uniform, 1),
+        ("topk", uniform, 1),
+        ("topk", uniform, 5),
+        ("topk", uniform, 10),
+        ("topk", uniform, 50),
+        ("topk, tied", tied, 5),
+        ("topk, tied", tied, 10),
+    ]:
+        index = ScoreArrayTopKIndex(scores)
+        if label == "top1":
+            call = index.top1
+        else:
+            def call(lo, hi, k=k):
+                return index.topk(k, lo, hi)
         measured, narrower = f"> {CROSSOVER_WIDTHS[-1]:,}", 0
         for width in CROSSOVER_WIDTHS:
             starts = rng.integers(0, n - width, 100)
-            scan = _per_call_us(lambda k, lo, hi: window_topk(scores, k, lo, hi), k, starts, width)
-            descend = _per_call_us(index.descend, k, starts, width)
-            if scan > descend:
+            with mock.patch.object(range_topk, "COST_MODEL", scan):
+                scan_us = _per_call_us(call, starts, width)
+            with mock.patch.object(range_topk, "COST_MODEL", descend):
+                descend_us = _per_call_us(call, starts, width)
+            if scan_us > descend_us:
                 measured = f"{narrower:,}-{width:,}"
                 break
             narrower = width
         rows.append(
             {
+                "call": label,
                 "k": k,
                 "measured": measured,
-                "default_model": f"{default.scale_topk(k) / default.scan_per_row:,.0f}",
-                "calibrated_model": f"{calibrated.scale_topk(k) / calibrated.scan_per_row:,.0f}",
+                "default_model": f"{(k - 1) * default.topk_per_rank / default.scan_per_row:,.0f}",
+                "calibrated_model": f"{(k - 1) * calibrated.topk_per_rank / calibrated.scan_per_row:,.0f}",
             }
         )
     return rows

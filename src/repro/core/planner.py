@@ -26,32 +26,44 @@ __all__ = ["CostModel", "PlannerDecision", "choose_algorithm"]
 class CostModel:
     """Relative per-operation costs (units are arbitrary; ratios matter).
 
-    Defaults were calibrated on this repo's benchmark machine: one top-k
-    building-block query costs roughly 40x one sequential per-record step,
-    sorting costs ~2 log-factors per record, and scanning a window's
-    scores (one ``np.partition``) costs ~1/500 of a record step per row,
-    so a top-k call scans windows of up to 25k rows at ``k = 5`` and
-    30k rows at ``k = 10`` (:meth:`scans`).
+    A top-k building-block call at rank ``k`` costs ``topk_query`` plus
+    whichever of its two paths is cheaper for its window
+    (:meth:`topk_call`): a segment-tree descent pays ``topk_per_rank``
+    for each rank after the first, a scan of the window's scores (one
+    ``np.partition``) pays ``scan_per_row`` per row. The constants fit
+    per-call timings on a 2-vCPU VM — a rank-1 descent or a scan's fixed
+    part ~15 µs, ~9.7 µs per further rank, ~2.3-3.3 ns per scanned row —
+    scaled so that a rank-5 call costs 50 per-record steps, the ratio
+    the planner's other constants were set against. A call at rank
+    ``k`` thus scans up to
+    ``(k - 1) * topk_per_rank / scan_per_row`` rows: none at ``k = 1``,
+    17k at ``k = 5``, 38k at ``k = 10``. Sorting costs ~2 log-factors
+    per record.
     """
 
-    topk_query: float = 40.0
+    topk_query: float = 16.0
     per_record: float = 1.0
     per_candidate: float = 3.0
     sort_per_record: float = 2.5
+    topk_per_rank: float = 8.5
     scan_per_row: float = 0.002
-
-    def scale_topk(self, k: int) -> float:
-        """Top-k query cost grows with k (heap rounds / deeper search)."""
-        return self.topk_query * (1.0 + 0.05 * k)
 
     def scans(self, width: int, k: int) -> bool:
         """Whether one top-k call over a ``width``-row window should scan
         the window's scores rather than descend the segment tree.
 
-        A scan costs ``scan_per_row`` per row of the window; a descent
-        costs one top-k query at rank ``k``, whatever the width.
+        ``top1`` asks at ``k = 1`` and so descends: one range-argmax
+        costs about what an argmax over a narrow window does, and less
+        over a wide one.
         """
-        return width * self.scan_per_row <= self.scale_topk(k)
+        return width * self.scan_per_row <= (k - 1) * self.topk_per_rank
+
+    def topk_call(self, width: int, k: int) -> float:
+        """Price of one top-k call at rank ``k`` over a ``width``-row
+        window, on the path :meth:`scans` picks."""
+        return self.topk_query + min(
+            width * self.scan_per_row, (k - 1) * self.topk_per_rank
+        )
 
 
 @dataclass(frozen=True)
@@ -89,9 +101,9 @@ def choose_algorithm(
 ) -> PlannerDecision:
     """Pick the cheapest applicable algorithm for one query shape.
 
-    >>> choose_algorithm(5, 1000, 5000, 2, True, True, True).algorithm
+    >>> choose_algorithm(10, 40_000, 200_000, 2, True, True, True).algorithm
     's-band'
-    >>> choose_algorithm(5, 1000, 5000, 30, True, True, True).algorithm
+    >>> choose_algorithm(10, 40_000, 200_000, 30, True, True, True).algorithm
     't-hop'
     """
     if k < 1 or tau < 1 or interval_length < 1 or d < 1:
@@ -100,7 +112,9 @@ def choose_algorithm(
     answer = expected_answer_size(k, interval_length, tau)
     windows = max(1.0, interval_length / tau)
     hop_queries = answer + k * windows
-    q_cost = model.scale_topk(k)
+    # Every top-k call the algorithms make reads at most tau + 1 rows:
+    # durability windows, and S-Hop's candidate bands of width <= tau.
+    q_cost = model.topk_call(tau + 1, k)
 
     estimates: dict[str, float] = {
         # T-Base: every record visited + one recompute per durable record.

@@ -2,10 +2,11 @@
 
 The planner's :class:`~repro.core.planner.CostModel` ships with defaults
 calibrated on one machine. This module re-measures the ratios that
-matter on *your* machine — the cost of one top-k building-block query
-(a segment-tree descent) versus one sequential per-record step, the
-per-record sort cost, and the per-row cost of scanning a window's scores
-— by running micro-benchmarks on a provided (or synthetic) dataset.
+matter on *your* machine — the cost of a rank-1 top-k building-block
+query by segment-tree descent and of each further rank, versus one
+sequential per-record step, the per-record sort cost, and the per-row
+cost of scanning a window's scores — by running micro-benchmarks on a
+provided (or synthetic) dataset.
 """
 
 from __future__ import annotations
@@ -47,7 +48,10 @@ def calibrate_cost_model(
         Micro-benchmark repetitions per primitive.
 
     The returned model preserves the planner's contract: only ratios
-    matter, and ``per_record`` is normalised to 1.
+    matter, and ``per_record`` is normalised to 1. Pass it to
+    :func:`~repro.core.planner.choose_algorithm` as ``cost_model``; to
+    have every top-k call scan or descend by it, assign it to
+    ``repro.index.range_topk.COST_MODEL``, which each call reads.
     """
     if dataset is None:
         rng = np.random.default_rng(seed)
@@ -57,20 +61,28 @@ def calibrate_cost_model(
     index = ScoreArrayTopKIndex(scores)
     n = dataset.n
 
-    # Primitive 1: one top-k query by descent on a random tau-sized window.
+    # Primitive 1: one top-k descent on a random tau-sized window, at rank
+    # 1 (the price of a query) and at rank k (the difference prices the
+    # further ranks).
     windows = rng.integers(0, max(1, n - n // 10), size=repeats)
 
-    def one_topk():
-        lo = int(windows[one_topk.i % repeats])
-        one_topk.i += 1
-        index.descend(k, lo, lo + n // 10)
+    def descents(rank: int):
+        def one_descent():
+            lo = int(windows[one_descent.i % repeats])
+            one_descent.i += 1
+            index.descend(rank, lo, lo + n // 10)
+
+        one_descent.i = 0
+        return one_descent
 
     # One untimed pass first: each window's first touch builds segment-tree
     # blocks, which is index set-up, not the cost of a top-k query.
-    one_topk.i = 0
+    warm = descents(k)
     for _ in range(repeats):
-        one_topk()
-    topk_s = _time_per_call(one_topk, repeats)
+        warm()
+    rank1_s = _time_per_call(descents(1), repeats)
+    rankk_s = _time_per_call(descents(k), repeats)
+    per_rank_s = max(rankk_s - rank1_s, 0.0) / max(k - 1, 1)
 
     # Primitive 2: one per-record step (score lookup + compare + append),
     # the body of T-Base's slide loop.
@@ -115,9 +127,10 @@ def calibrate_cost_model(
 
     per_record_unit = max(record_s, 1e-9)
     return CostModel(
-        topk_query=topk_s / per_record_unit,
+        topk_query=rank1_s / per_record_unit,
         per_record=1.0,
         per_candidate=3.0,
         sort_per_record=max(sort_s / per_record_unit, 0.1),
+        topk_per_rank=per_rank_s / per_record_unit,
         scan_per_row=scan_s / per_record_unit,
     )

@@ -4,12 +4,14 @@ One event loop in a dedicated thread accepts persistent connections and
 speaks the length-prefixed JSON protocol of :mod:`repro.gateway.protocol`.
 The loop thread never executes a query: each admitted request is handed
 to the threaded service via ``service.submit``, and the returned
-:class:`concurrent.futures.Future` carries a done-callback that hops
-back onto the loop with ``call_soon_threadsafe`` to serialise and write
-the response. No per-request asyncio task, no future wrapping, no write
-lock — every write happens on the loop thread, which serialises frames
-by construction. Responses therefore return in completion order (the
-client matches them by echoed ``id``), slow queries never stall the
+:class:`concurrent.futures.Future` carries a done-callback that
+serialises the response on the worker thread that completed it, then
+hops back onto the loop with ``call_soon_threadsafe`` to write the
+frame, so the loop that every connection shares spends no time on
+response JSON. No per-request asyncio task, no future wrapping, no
+write lock — every write happens on the loop thread, which serialises
+frames by construction. Responses therefore return in completion order
+(the client matches them by echoed ``id``), slow queries never stall the
 accept/read path, and same-preference requests from different
 connections land in the same service batch while identical in-flight
 queries coalesce — the gateway inherits the whole PR 2/6/9 serving
@@ -371,31 +373,41 @@ class DurableTopKGateway:
         return True
 
     def _resolved(self, conn: _Connection, id, name: str, future, t0: float) -> None:
-        """Future done-callback (any thread): hop onto the loop."""
+        """Future done-callback (any thread): serialise the response on the
+        thread that completed it, then hop onto the loop to write it."""
         loop = self._loop
         if loop is None or loop.is_closed():  # pragma: no cover - late completion
             return
         try:
-            loop.call_soon_threadsafe(self._complete, conn, id, name, future, t0)
+            response = future.result()
+            outcome = "ok" if response.ok else response.error.reason.value
+            data = encode_frame(response_to_wire(response, id=id))
+            service_seconds = response.total_seconds
+        except BaseException as exc:
+            outcome = "internal"
+            data = encode_frame(error_frame(ErrorCode.INTERNAL, repr(exc), id=id))
+            service_seconds = perf_counter() - t0
+        try:
+            loop.call_soon_threadsafe(
+                self._complete, conn, name, outcome, data, t0, service_seconds
+            )
         except RuntimeError:  # pragma: no cover - loop shut down mid-call
             pass
 
-    def _complete(self, conn: _Connection, id, name: str, future, t0: float) -> None:
-        """Serialise and write one response (loop thread)."""
+    def _complete(
+        self,
+        conn: _Connection,
+        name: str,
+        outcome: str,
+        data: bytes,
+        t0: float,
+        service_seconds: float,
+    ) -> None:
+        """Write one serialised response (loop thread)."""
         try:
-            try:
-                response = future.result()
-            except BaseException as exc:
-                outcome = "internal"
-                payload = error_frame(ErrorCode.INTERNAL, repr(exc), id=id)
-                service_seconds = perf_counter() - t0
-            else:
-                outcome = "ok" if response.ok else response.error.reason.value
-                payload = response_to_wire(response, id=id)
-                service_seconds = response.total_seconds
             self._trace(name, outcome, t0, service_seconds)
             self._count(name, outcome)
-            self._send(conn, payload)
+            self._write(conn, data)
         finally:
             self._inflight[name] = max(0, self._inflight.get(name, 0) - 1)
             self._open -= 1
@@ -406,7 +418,9 @@ class DurableTopKGateway:
     # helpers
     # ------------------------------------------------------------------
     def _send(self, conn: _Connection, payload: dict) -> None:
-        data = encode_frame(payload)
+        self._write(conn, encode_frame(payload))
+
+    def _write(self, conn: _Connection, data: bytes) -> None:
         try:
             conn.writer.write(data)
         except (ConnectionResetError, BrokenPipeError, RuntimeError):

@@ -6,7 +6,8 @@ preference vector is fixed, every record's score is a single float, and
 each range top-k call takes one of two paths, chosen per call:
 
 * **scan** — one ``np.partition`` over the window's score slice finds
-  the k-th largest score, and the cells at or above it are put in order
+  the k-th largest score; the cells above it and the latest cells tied
+  with it, ``k`` in all, are put in order
   (:func:`repro.index.topk.window_topk`). ``O(width)``, all in C.
 * **descend** — ``k`` rounds of *range-argmax with exclusion* over a max
   segment tree, driven by a heap of sub-ranges (the classic
@@ -16,12 +17,14 @@ each range top-k call takes one of two paths, chosen per call:
 
 The choice is one inequality from the planner's cost model
 (:meth:`repro.core.planner.CostModel.scans`): the window's width priced
-per scanned row against a descent's price for ``k``. T-Hop's durability
-windows are ``tau + 1`` rows, so most calls scan; wide windows (a
-large ``tau``, or S-Hop's candidate queries over a long interval)
-descend. The index
-owns only its score array: the segment tree is built the first time a
-call descends, and its blocks on first touch after that.
+per scanned row against a descent's price for its ranks after the
+first. A rank-1 call (and :meth:`ScoreArrayTopKIndex.top1`) always
+descends: one range-argmax costs about what an argmax over a narrow
+window does, and less over a wide one. T-Hop's
+durability windows are ``tau + 1`` rows, so most calls at ``k >= 2``
+scan; wide windows (a large ``tau``) descend. The index owns only its
+score array: the segment tree is built the first time a call descends,
+and its blocks on first touch after that.
 
 Both paths follow the library's canonical total order (higher score
 wins, later arrival wins ties), so results are deterministic and

@@ -195,19 +195,22 @@ def batched_window_topk(
 def window_topk(scores: np.ndarray, k: int, lo: int, hi: int) -> list[int]:
     """Top-``k`` ids of one in-bounds window ``[lo, hi]`` by scanning it.
 
-    The single-window twin of :func:`batched_window_topk`: one
-    ``np.partition`` over ``scores[lo:hi + 1]`` finds the k-th largest
-    score, every cell at or above it is a candidate, and the candidates
-    are put in the canonical order (descending score, later arrival wins
-    ties) before the first ``k`` are kept. The caller clamps; ``k >= 1``
-    and ``lo <= hi`` are assumed. ``O(width)`` plus a sort of the
-    candidates, all in C.
+    The single-window twin of :func:`batched_window_topk`, with its tie
+    rule: one ``np.partition`` over ``scores[lo:hi + 1]`` finds the k-th
+    largest score, and the answer is every strictly-greater cell plus
+    the *rightmost* cells tied with it, at most ``k`` in all, put in the
+    canonical order (descending score, later arrival wins ties). However
+    widely the k-th score is tied, only ``k`` cells are sorted. The
+    caller clamps; ``k >= 1`` and ``lo <= hi`` are assumed. ``O(width)``,
+    all in C.
     """
     window = scores[lo : hi + 1]
     width = len(window)
     if k < width:
         threshold = np.partition(window, width - k)[width - k]
-        chosen = np.flatnonzero(window >= threshold)
+        greater = np.flatnonzero(window > threshold)
+        ties = np.flatnonzero(window == threshold)
+        chosen = np.concatenate((greater, ties[len(ties) - (k - len(greater)) :]))
     else:
         chosen = np.arange(width)
     return _best_first(chosen + lo, window[chosen], k)

@@ -26,6 +26,7 @@ class TestCalibration:
         assert model.per_record == 1.0
         # A top-k query must cost more than a single record step.
         assert model.topk_query > 1.0
+        assert model.topk_per_rank > 0.0
         assert model.sort_per_record > 0.0
         # Scanning a row costs far less than one record step.
         assert 0.0 < model.scan_per_row < 1.0
@@ -34,6 +35,8 @@ class TestCalibration:
         model = CostModel()
         assert model.scans(1_001, 10)
         assert not model.scans(60_000, 5)
+        # One range-argmax beats a scan of any width.
+        assert not model.scans(1_001, 1)
 
     def test_calibrated_model_usable_by_planner(self):
         from repro.core.planner import choose_algorithm

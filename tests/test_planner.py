@@ -18,13 +18,21 @@ class TestChooseAlgorithm:
             choose_algorithm(1, 0, 100, 2, True)
 
     def test_selective_low_dim_prefers_band(self):
-        decision = choose_algorithm(5, 5_000, 25_000, 2, True, True, True)
+        # S-Band saves top-k calls, so it wins where they are dear: wide
+        # windows, which descend at a price that grows with k.
+        decision = choose_algorithm(10, 40_000, 200_000, 2, True, True, True)
         assert decision.algorithm == "s-band"
         assert decision.expected_candidates is not None
 
     def test_high_dim_avoids_band(self):
         decision = choose_algorithm(5, 5_000, 25_000, 30, True, True, True)
         assert decision.algorithm in ("t-hop", "s-hop")
+
+    def test_narrow_windows_prefer_t_hop(self):
+        # A narrow window's top-k call is one cheap scan: T-Hop's extra
+        # calls cost less than S-Band's candidate retrieval.
+        decision = choose_algorithm(5, 1_000, 5_000, 2, True, True, True)
+        assert decision.algorithm == "t-hop"
 
     def test_band_unavailable_without_index(self):
         decision = choose_algorithm(5, 5_000, 25_000, 2, True, True, has_skyband_index=False)
