@@ -11,8 +11,6 @@ Usage::
     python -m repro cache-bench --smoke
     python -m repro ingest-bench --out results/
     python -m repro ingest-bench --smoke
-    python -m repro shard-bench --shards 1,2,4
-    python -m repro shard-bench --smoke
     python -m repro batch-bench --sizes 1,4,8,16
     python -m repro batch-bench --smoke
     python -m repro obs-bench --out results/
@@ -23,7 +21,7 @@ Usage::
     python -m repro perf-report --baseline benchmarks/baselines --current results
     python -m repro perf-gate --baseline benchmarks/baselines --current results
     python -m repro top --once
-    python -m repro trace --backend sharded --shards 2 --top 3
+    python -m repro trace --top 3
     python -m repro stream --workload nba2 --k 3 --tau 500 --lookahead
 
 Each experiment prints the same table/series its benchmark counterpart
@@ -35,10 +33,8 @@ rate (its ``--smoke`` re-derives every served answer — ids, durations
 and stats — on an uncached engine, including a live-ingest phase);
 ``ingest-bench`` drives the live ingestion pipeline (appends
 racing queries) and reports throughput, latency and freshness;
-``shard-bench`` drives the multi-process sharded backend and reports the
-throughput-vs-shards scaling curve; ``batch-bench`` compares a serial
-``query`` loop against ``query_batch`` on same-preference Zipfian
-batches and reports the per-query CPU speedup curve; ``obs-bench``
+``batch-bench`` compares a serial ``query`` loop against
+``query_batch`` on same-preference Zipfian batches and reports the per-query CPU speedup curve; ``obs-bench``
 measures the tracing overhead in both modes and checks traced answers
 stay byte-identical; ``gateway`` serves the durable top-k service over
 TCP (length-prefixed JSON frames, per-tenant API keys) until
@@ -56,9 +52,8 @@ same diff with a non-zero exit on any regression beyond its noise band
 — the CI perf smoke. ``top`` repaints a live terminal dashboard over
 the observability stack (``--once`` renders a single plain frame for
 non-tty use). ``trace`` drives a traced workload and prints the slowest
-requests as per-layer waterfalls (``--backend sharded`` stitches
-coordinator and worker-process spans into one tree); ``--log-json``
-(global) switches diagnostics to structured JSON log lines. ``stream`` replays a
+requests as per-layer waterfalls; ``--log-json`` (global) switches
+diagnostics to structured JSON log lines. ``stream`` replays a
 dataset as an arrival stream through the online
 :class:`~repro.core.streaming.StreamingDurableMonitor` and prints each
 record's durability decision the moment it is decidable.
@@ -280,43 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="directory for ingest_throughput.txt (default: results/)",
     )
 
-    shard = sub.add_parser(
-        "shard-bench",
-        help="benchmark multi-process sharded serving (throughput vs shard count)",
-    )
-    shard.add_argument("--n", type=int, default=60_000, help="dataset size")
-    shard.add_argument("--requests", type=int, default=800, help="requests per round")
-    shard.add_argument("--clients", type=int, default=8, help="client threads")
-    shard.add_argument(
-        "--shards",
-        default="1,2,4",
-        help="comma-separated shard counts to sweep (default: 1,2,4)",
-    )
-    shard.add_argument(
-        "--preferences", type=int, default=64, help="distinct preference vectors"
-    )
-    shard.add_argument("--zipf", type=float, default=0.9, help="zipf exponent")
-    shard.add_argument("--rounds", type=int, default=2, help="timed rounds per count")
-    shard.add_argument(
-        "--future", type=float, default=0.0, help="share of look-ahead queries"
-    )
-    shard.add_argument(
-        "--verify",
-        action="store_true",
-        help="re-derive every response on an unsharded engine and compare",
-    )
-    shard.add_argument(
-        "--smoke",
-        action="store_true",
-        help="small run with --verify; exit 1 on any rejected/incorrect response",
-    )
-    shard.add_argument(
-        "--out",
-        type=Path,
-        default=Path("results"),
-        help="directory for shard_throughput.txt (default: results/)",
-    )
-
     batch = sub.add_parser(
         "batch-bench",
         help="benchmark batched query execution (serial loop vs query_batch)",
@@ -511,15 +469,6 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--workers", type=int, default=4, help="service worker threads")
     trace.add_argument(
         "--preferences", type=int, default=12, help="distinct preference vectors"
-    )
-    trace.add_argument(
-        "--backend",
-        default="engine",
-        choices=["engine", "sharded"],
-        help="sharded stitches coordinator + worker-process spans into one tree",
-    )
-    trace.add_argument(
-        "--shards", type=int, default=2, help="shard count for --backend sharded"
     )
     trace.add_argument("--top", type=int, default=3, help="slowest traces to print")
 
@@ -730,47 +679,6 @@ def _ingest_bench(args) -> int:
         args.smoke,
         failures,
         "smoke ok: all responses served while ingesting and serially re-derived",
-    )
-
-
-def _shard_bench(args) -> int:
-    from repro.experiments.shard_bench import SMOKE_DEFAULTS, shard_throughput_bench
-
-    kwargs = {
-        "n": args.n,
-        "requests": args.requests,
-        "clients": args.clients,
-        "shard_counts": tuple(int(s) for s in args.shards.split(",")),
-        "n_preferences": args.preferences,
-        "zipf_s": args.zipf,
-        "rounds": args.rounds,
-        "future_fraction": args.future,
-        "verify": args.verify or args.smoke,
-    }
-    if args.smoke:
-        kwargs.update(SMOKE_DEFAULTS)
-        kwargs["verify"] = True
-    start = time.perf_counter()
-    result = shard_throughput_bench(**kwargs)
-    elapsed = time.perf_counter() - start
-    failures = []
-    if args.smoke:
-        failures = _response_failures(result.data)
-        if any(result.data["restarts"].values()):
-            failures.append(f"unexpected worker restarts: {result.data['restarts']}")
-        expected = len(kwargs["shard_counts"]) * result.data["requests"]
-        if result.data["verified"] != expected:
-            failures.append(
-                f"serial verification {result.data['verified']}/{expected}"
-            )
-    return _finish_bench(
-        "shard-bench",
-        result,
-        elapsed,
-        args.out,
-        args.smoke,
-        failures,
-        "smoke ok: every sharded answer byte-identical to the unsharded engine",
     )
 
 
@@ -1007,17 +915,12 @@ def _trace(args) -> int:
         clients=args.clients,
         workers=args.workers,
         n_preferences=args.preferences,
-        backend=args.backend,
-        shards=args.shards,
         top=args.top,
     )
     if not traces:
         print("no traces captured")
         return 1
-    print(
-        f"slowest {len(traces)} of {args.requests} requests "
-        f"({args.backend} backend):\n"
-    )
+    print(f"slowest {len(traces)} of {args.requests} requests (engine backend):\n")
     for trace in traces:
         print(format_waterfall(trace))
         print()
@@ -1103,8 +1006,6 @@ def main(argv: list[str] | None = None) -> int:
         return _cache_bench(args)
     if args.command == "ingest-bench":
         return _ingest_bench(args)
-    if args.command == "shard-bench":
-        return _shard_bench(args)
     if args.command == "batch-bench":
         return _batch_bench(args)
     if args.command == "obs-bench":

@@ -11,7 +11,7 @@ instrumentation, so this bench puts a number on both modes of
   actually crosses, and derives a *worst-case* throughput overhead as
   if every call sat on the critical path. The CI smoke gate asserts
   this bound stays under 3% of per-request wall time.
-* **enabled**: full span capture, slowest-N retention, stitched trees.
+* **enabled**: full span capture, slowest-N retention, span trees.
   Measured head-to-head — interleaved disabled/enabled drives of the
   same pipelined workload against one warm service, best round of each
   side — and reported as a throughput delta. This is the price of
@@ -348,38 +348,21 @@ def capture_traces(
     clients: int = 4,
     workers: int = 4,
     n_preferences: int = 12,
-    backend: str = "engine",
-    shards: int = 2,
     top: int = 5,
     seed: int = 7,
     zipf_s: float = 0.9,
 ) -> list:
     """Drive a traced workload and return the ``top`` slowest traces.
 
-    Backs the ``repro trace`` CLI. ``backend="sharded"`` runs the
-    multi-process coordinator so the returned trees stitch coordinator
-    and worker spans across process boundaries — the cross-layer
-    waterfall the obs PR exists to produce.
+    Backs the ``repro trace`` CLI: an engine-backed service, so each
+    returned tree runs from the service batch down to the index calls.
     """
     dataset, _, stream = _workload(n, n_preferences, zipf_s, requests, seed)
-    cleanup = None
-    if backend == "sharded":
-        from repro.service import ShardedBackend
-        from repro.shard import ShardCoordinator, ShardedDataset
-
-        sharded = ShardedDataset(dataset, shards)
-        coordinator = ShardCoordinator(sharded, pool_capacity=64)
-        backend_obj = ShardedBackend(coordinator)
-        cleanup = sharded.close
-    elif backend == "engine":
-        backend_obj = EngineBackend(DurableTopKEngine(dataset))
-    else:
-        raise ValueError(f"unknown trace backend {backend!r}")
     TRACES.clear()
     enable()
     try:
         with DurableTopKService(
-            backend_obj,
+            EngineBackend(DurableTopKEngine(dataset)),
             workers=workers,
             max_queue=max(4096, 4 * len(stream)),
             max_batch=16,
@@ -388,6 +371,4 @@ def capture_traces(
             run_pipelined(service.submit, stream, clients=clients)
     finally:
         disable()
-        if cleanup is not None:
-            cleanup()
     return TRACES.slowest(top)

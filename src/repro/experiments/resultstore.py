@@ -164,7 +164,7 @@ def environment_fingerprint() -> dict[str, Any]:
 def fingerprint_header(env: dict | None = None) -> str:
     """Comment lines stamping a ``results/*.txt`` artifact as self-describing.
 
-    Artifacts from a 1-core box (flat shard-scaling curves and the like)
+    Artifacts from a 1-core box (flat thread-scaling curves and the like)
     carry their own caveat this way instead of needing one in a doc.
     """
     env = env or environment_fingerprint()

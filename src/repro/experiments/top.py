@@ -3,8 +3,8 @@
 The observatory's human face: one refreshing ANSI frame that polls the
 service's :class:`~repro.service.metrics.MetricsCollector` snapshot, the
 process-wide :func:`~repro.obs.global_registry` (WAL fsyncs, segment
-counts, seals/compactions, pool evictions, shard worker restarts) and
-the :data:`~repro.obs.TRACES` slowest-N buffer — the same sources the
+counts, seals/compactions, pool evictions) and the
+:data:`~repro.obs.TRACES` slowest-N buffer — the same sources the
 Prometheus export reads, rendered for a terminal instead of a scraper.
 
 Counter *rates* (WAL fsyncs/s, seals/s) are frame-over-frame deltas, so
@@ -98,8 +98,6 @@ class Dashboard:
         segments = self._gauge_total("ingest.segments")
         compactions = self._counter_total("ingest.compactions")
         evictions = self._counter_total("service.pool.evictions")
-        restarts = self._counter_total("shard.worker.restarts")
-        revivals = self._counter_total("shard.worker.revivals")
 
         title = "repro top — durable top-k observatory"
         uptime = f"uptime {now - self._started:7.1f}s"
@@ -155,21 +153,10 @@ class Dashboard:
                 f"   ok {gw_ok_rate:6.1f}/s   rejected {gw_rejected_rate:6.1f}/s"
                 f"   in/out {gw_in_rate / 1024:6.1f}/{gw_out_rate / 1024:6.1f} KiB/s"
             )
-        if snap.fanout:
-            shares = "  ".join(
-                f"s{shard}={count}" for shard, count in sorted(snap.shard_queries.items())
-            )
-            lines.append(
-                f"fanout     mean {snap.mean_fanout:5.2f}   shares: {shares}"
-            )
         lines.append(
             f"ingest     segments {segments:.0f}   seals {seal_rate:6.1f}/s"
             f"   compactions {compactions:.0f}   wal fsync {wal_rate:6.1f}/s"
         )
-        if restarts or revivals:
-            lines.append(
-                f"workers    restarts {restarts:.0f} ({revivals:.0f} health-check revivals)"
-            )
         for name, status in sorted(snap.slo.items()):
             state = "BURNING" if status["burning"] else "ok     "
             lines.append(

@@ -1,8 +1,7 @@
 """Network front door: TCP serving for the durable top-k service.
 
-The gateway takes everything built in-process — pooled batched serving
-(PR 2/6), live ingest (PR 3), sharded scatter-gather (PRs 4–5), the
-observability stack (PRs 7–8) and the semantic answer cache (PR 9) —
+The gateway takes everything built in-process — pooled batched serving,
+live ingest, the observability stack and the semantic answer cache —
 and puts it behind a wire: persistent connections, length-prefixed JSON
 framing, per-tenant API-key auth on a pre-hashed fast path, token-bucket
 rate limits and queue quotas feeding the service's typed rejection

@@ -129,7 +129,8 @@ class FrameDecoder:
     accepts whatever arrived and returns every *complete* frame it can
     decode, keeping the remainder buffered. Raises :class:`FrameTooLarge`
     the moment a header announces a body beyond ``max_frame_bytes`` —
-    before buffering any of it.
+    before buffering any of it — and :class:`ProtocolError` for a body
+    that is not a JSON object; it raises nothing else.
     """
 
     def __init__(self, max_frame_bytes: int = MAX_FRAME_BYTES) -> None:
@@ -151,7 +152,9 @@ class FrameDecoder:
             del self._buffer[: _HEADER.size + length]
             try:
                 payload = json.loads(body)
-            except ValueError as exc:
+            except (ValueError, RecursionError) as exc:
+                # RecursionError: nesting deeper than the parser's stack
+                # (a body of 200 KB of "[" is enough).
                 raise ProtocolError(
                     ErrorCode.BAD_REQUEST, f"frame body is not valid JSON: {exc}"
                 ) from exc

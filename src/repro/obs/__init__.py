@@ -3,12 +3,11 @@
 Two halves:
 
 - :mod:`repro.obs.trace`: per-query trace spans on a thread-local
-  stack, a bounded slowest-N trace buffer, and cross-process trace
-  stitching over the shard pipe protocol.  Off by default; the disabled
-  fast path is one boolean check per call site.
+  stack and a bounded slowest-N trace buffer.  Off by default; the
+  disabled fast path is one boolean check per call site.
 - :mod:`repro.obs.registry`: named counter/gauge/histogram series.  The
   process-wide :func:`global_registry` collects low-frequency events
-  from every layer (WAL fsyncs, seals, evictions, worker restarts); the
+  from every layer (WAL fsyncs, seals, evictions, compactions); the
   service ``MetricsCollector`` folds its counters into a private
   registry per collector.
 
@@ -34,14 +33,11 @@ from repro.obs.trace import (
     Span,
     Trace,
     TraceBuffer,
-    absorb_remote_spans,
     add_span,
-    begin_remote,
     current_context,
     current_span,
     disable,
     enable,
-    end_remote,
     is_enabled,
     spans_started,
     trace_span,
@@ -74,9 +70,6 @@ __all__ = [
     "disable",
     "is_enabled",
     "spans_started",
-    "begin_remote",
-    "end_remote",
-    "absorb_remote_spans",
     "configure_json_logging",
     "render_prometheus",
     "format_waterfall",

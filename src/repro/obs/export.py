@@ -191,10 +191,9 @@ def _render_span(
     else:  # pragma: no cover - zero-length trace
         lead, fill = 0, _BAR_WIDTH
     bar = " " * lead + "█" * fill + " " * (_BAR_WIDTH - lead - fill)
-    remote = f" pid={span.pid}" if span.pid != (trace.root.pid if trace.root else 0) else ""
     lines.append(
         f"  [{bar}] {offset * 1e3:8.3f}ms +{duration * 1e3:8.3f}ms  "
-        f"{'  ' * depth}{span.name}{remote}{_format_attrs(span)}"
+        f"{'  ' * depth}{span.name}{_format_attrs(span)}"
     )
     for child in trace.children_of(span.span_id):
         _render_span(child, trace, t0, total, depth + 1, lines)
@@ -216,10 +215,4 @@ def format_waterfall(trace: Trace) -> str:
         f"  layers: {layers}",
     ]
     _render_span(root, trace, root.start, total, 0, lines)
-    # Orphans: spans whose parent never arrived (e.g. a worker died
-    # mid-request).  Render flat so they are not silently dropped.
-    known = {s.span_id for s in trace.spans}
-    for span in trace.spans:
-        if span.parent_id is not None and span.parent_id not in known and span is not root:
-            _render_span(span, trace, root.start, total, 1, lines)
     return "\n".join(lines)

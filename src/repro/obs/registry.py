@@ -4,7 +4,7 @@ Series are created lazily and identified by a dotted name plus optional
 labels, e.g. ``registry.counter("service.rejected", reason="timeout")``.
 Every layer of the stack emits into the process-wide
 :func:`global_registry` (WAL fsyncs, seal/compaction events, pool
-evictions, shard worker restarts); the service-level
+evictions, answer-cache window seeds); the service-level
 ``MetricsCollector`` owns a private registry per collector so bench
 rounds can reset without clobbering each other, and exposition merges
 both (see :func:`repro.obs.export.render_prometheus`).

@@ -1,4 +1,4 @@
-"""Per-query trace spans with cross-process stitching.
+"""Per-query trace spans.
 
 The tracer is a thread-local span stack.  ``trace_span(name)`` opens a
 span; the first span on an empty stack starts a new *trace*, and when
@@ -13,15 +13,8 @@ check, after which ``trace_span`` returns a shared no-op context
 manager.  Flip it with :func:`enable` / :func:`disable` (or the
 ``enabled(True)`` context manager style helper :func:`tracing`).
 
-Cross-process propagation: the shard coordinator piggybacks
-``current_context()`` — a ``(trace_id, span_id)`` pair — on the
-seq-tagged pipe protocol.  The worker wraps the request in
-:func:`begin_remote` / :func:`end_remote`, which collect spans under the
-*coordinator's* trace id and parent span id without ever touching the
-worker's global enabled flag, and ships the serialised spans back on the
-response tuple.  The coordinator's reader thread hands them to
-:func:`absorb_remote_spans`, which stitches them into the still-open
-trace — one tree spanning both processes.
+A trace is built by the one thread that opened its root span, so a
+trace never mixes spans from two threads.
 """
 
 from __future__ import annotations
@@ -45,9 +38,6 @@ __all__ = [
     "add_span",
     "current_span",
     "current_context",
-    "begin_remote",
-    "end_remote",
-    "absorb_remote_spans",
     "spans_started",
 ]
 
@@ -63,19 +53,14 @@ _trace_seq = itertools.count(1)
 # estimate spans-per-request).  Plain int guarded by _stats_lock.
 _spans_started = 0
 _stats_lock = threading.Lock()
-# Traces that have started but whose root span has not yet closed,
-# keyed by trace id.  Remote spans arriving from worker processes are
-# stitched in here by the coordinator's reader thread.
-_inflight: dict[str, "Trace"] = {}
-_inflight_lock = threading.Lock()
 # Callbacks fired with each completed Trace (JSON log exporter hooks in
 # here).  Mutated only from configure paths; read on the hot path.
 _completion_hooks: list = []
 
 
 def _new_id(seq: itertools.count) -> str:
-    # pid-qualified so ids minted in forked shard workers can never
-    # collide with coordinator ids inside one stitched trace.
+    # pid-qualified so ids stay unique across processes whose JSON log
+    # lines are read together.
     return f"{os.getpid():x}-{next(seq):x}"
 
 
@@ -136,7 +121,6 @@ class Span:
     start: float
     duration: float = -1.0
     attrs: dict = field(default_factory=dict)
-    pid: int = field(default_factory=os.getpid)
 
     def set(self, **attrs) -> "Span":
         """Attach layer attributes (pages read, candidates, ...)."""
@@ -144,49 +128,18 @@ class Span:
         self.attrs.update(attrs)
         return self
 
-    def to_wire(self) -> dict:
-        """Pipe/JSON-serialisable form."""
-
-        return {
-            "trace_id": self.trace_id,
-            "span_id": self.span_id,
-            "parent_id": self.parent_id,
-            "name": self.name,
-            "start": self.start,
-            "duration": self.duration,
-            "attrs": dict(self.attrs),
-            "pid": self.pid,
-        }
-
-    @classmethod
-    def from_wire(cls, wire: dict) -> "Span":
-        return cls(
-            trace_id=wire["trace_id"],
-            span_id=wire["span_id"],
-            parent_id=wire.get("parent_id"),
-            name=wire["name"],
-            start=wire["start"],
-            duration=wire["duration"],
-            attrs=dict(wire.get("attrs") or {}),
-            pid=wire.get("pid", 0),
-        )
-
 
 class Trace:
     """A completed-or-in-flight tree of spans sharing one trace id."""
 
-    __slots__ = ("trace_id", "spans", "_lock")
+    __slots__ = ("trace_id", "spans")
 
     def __init__(self, trace_id: str):
         self.trace_id = trace_id
         self.spans: list[Span] = []
-        # Remote spans are appended by the shard reader thread while the
-        # owning thread is still adding local spans.
-        self._lock = threading.Lock()
 
     def add(self, span: Span) -> None:
-        with self._lock:
-            self.spans.append(span)
+        self.spans.append(span)
 
     @property
     def root(self) -> Span | None:
@@ -214,13 +167,6 @@ class Trace:
             layer = span.name.split(".", 1)[0]
             layers[layer] = layers.get(layer, 0.0) + max(span.duration, 0.0)
         return layers
-
-    def as_dict(self) -> dict:
-        return {
-            "trace_id": self.trace_id,
-            "duration_seconds": self.duration,
-            "spans": [s.to_wire() for s in self.spans],
-        }
 
 
 class TraceBuffer:
@@ -291,15 +237,6 @@ class _NoopSpan:
 _NOOP = _NoopSpan()
 
 
-class _RemoteAnchor:
-    """Stack sentinel standing in for a parent span in another process."""
-
-    __slots__ = ("span_id",)
-
-    def __init__(self, span_id: str | None):
-        self.span_id = span_id
-
-
 def _stack() -> list:
     stack = getattr(_tls, "stack", None)
     if stack is None:
@@ -322,15 +259,12 @@ class _SpanContext:
         global _spans_started
         stack = _stack()
         if stack:
-            top = stack[-1]
-            parent_id = top.span_id
+            parent_id = stack[-1].span_id
             trace = _tls.trace
         else:
             parent_id = None
             trace = Trace(_new_id(_trace_seq))
             _tls.trace = trace
-            with _inflight_lock:
-                _inflight[trace.trace_id] = trace
         span = Span(
             trace_id=trace.trace_id,
             span_id=_new_id(_span_seq),
@@ -355,13 +289,9 @@ class _SpanContext:
             stack.pop()
         elif span in stack:  # pragma: no cover - defensive
             stack.remove(span)
-        # A remote anchor at the bottom never pops, so remote traces are
-        # never offered locally — they complete in the coordinator.
         if not stack:
             trace = _tls.trace
             _tls.trace = None
-            with _inflight_lock:
-                _inflight.pop(trace.trace_id, None)
             TRACES.offer(trace)
             for hook in _completion_hooks:
                 try:
@@ -397,16 +327,14 @@ def add_span(name: str, start: float, duration: float, **attrs) -> None:
     stack = _stack()
     if not stack:
         return
-    top = stack[-1]
     trace = _tls.trace
     if trace is None:  # pragma: no cover - defensive
         return
-    parent_id = top.span_id if isinstance(top, Span) else top.span_id
     trace.add(
         Span(
             trace_id=trace.trace_id,
             span_id=_new_id(_span_seq),
-            parent_id=parent_id,
+            parent_id=stack[-1].span_id,
             name=name,
             start=start,
             duration=duration,
@@ -421,10 +349,7 @@ def current_span() -> Span | None:
     if not _enabled:
         return None
     stack = getattr(_tls, "stack", None)
-    if not stack:
-        return None
-    top = stack[-1]
-    return top if isinstance(top, Span) else None
+    return stack[-1] if stack else None
 
 
 def tracing_active() -> bool:
@@ -438,82 +363,12 @@ def tracing_active() -> bool:
 
 
 def current_context() -> tuple[str, str] | None:
-    """(trace_id, span_id) of the innermost open span, for propagation."""
+    """(trace_id, span_id) of the innermost open span, for log joins."""
 
     span = current_span()
     if span is None:
         return None
     return (span.trace_id, span.span_id)
-
-
-# --------------------------------------------------------------------------
-# cross-process propagation (shard pipe protocol)
-# --------------------------------------------------------------------------
-
-
-class _RemoteSession:
-    __slots__ = ("trace", "anchor", "prev_enabled")
-
-    def __init__(self, trace: Trace, anchor: _RemoteAnchor, prev_enabled: bool):
-        self.trace = trace
-        self.anchor = anchor
-        self.prev_enabled = prev_enabled
-
-
-def begin_remote(context: tuple[str, str]) -> _RemoteSession:
-    """Start collecting spans under a propagated (trace_id, span_id).
-
-    Called by a shard worker when a request carries trace context.  The
-    propagated span id becomes the parent of every span the worker opens,
-    via an anchor sentinel that keeps the stack non-empty so the trace is
-    never offered to the local buffer — it belongs to the coordinator.
-    Workers are single-threaded request loops, so flipping the global
-    enabled flag for the duration of one request is safe.
-    """
-
-    global _enabled
-    trace_id, parent_span_id = context
-    trace = Trace(trace_id)
-    anchor = _RemoteAnchor(parent_span_id)
-    session = _RemoteSession(trace, anchor, _enabled)
-    _tls.stack = [anchor]
-    _tls.trace = trace
-    _enabled = True
-    return session
-
-
-def end_remote(session: _RemoteSession) -> list[dict]:
-    """Stop remote collection; return the collected spans in wire form."""
-
-    global _enabled
-    _enabled = session.prev_enabled
-    _tls.stack = []
-    _tls.trace = None
-    spans = []
-    for span in session.trace.spans:
-        if span.parent_id is None:
-            span.parent_id = session.anchor.span_id
-        spans.append(span.to_wire())
-    return spans
-
-
-def absorb_remote_spans(wire_spans) -> None:
-    """Stitch worker-process spans into their in-flight local trace.
-
-    Called from the coordinator's per-worker reader thread *before* the
-    response future resolves, so by the time the querying thread closes
-    its ``shard.scatter`` span the remote children are already in place.
-    Spans whose trace has already completed (or was never local) are
-    dropped.
-    """
-
-    if not wire_spans:
-        return
-    for wire in wire_spans:
-        with _inflight_lock:
-            trace = _inflight.get(wire["trace_id"])
-        if trace is not None:
-            trace.add(Span.from_wire(wire))
 
 
 def reset_for_tests() -> None:
@@ -524,7 +379,5 @@ def reset_for_tests() -> None:
     _spans_started = 0
     _tls.stack = []
     _tls.trace = None
-    with _inflight_lock:
-        _inflight.clear()
     TRACES.clear()
     _completion_hooks.clear()

@@ -12,7 +12,6 @@ from repro.service.backends import (
     EngineBackend,
     LiveBackend,
     MiniDBBackend,
-    ShardedBackend,
 )
 from repro.service.metrics import MetricsCollector, MetricsSnapshot, percentile
 from repro.service.pool import SessionPool
@@ -51,7 +50,6 @@ __all__ = [
     "QueryResponse",
     "RejectionReason",
     "SessionPool",
-    "ShardedBackend",
     "WorkloadGenerator",
     "WorkloadSpec",
     "open_loop_arrivals",

@@ -6,7 +6,7 @@ to execute a same-preference batch of requests
 (:class:`~repro.service.request.QueryRequest`) with such a session
 (``execute_batch``; a lone request is a batch of one), and which
 ``dataset_version()`` (content epoch) it currently serves — the key the
-semantic answer cache pins entries to. Four backends ship:
+semantic answer cache pins entries to. Three backends ship:
 
 * :class:`EngineBackend` — the in-memory
   :class:`~repro.core.engine.DurableTopKEngine`. Queries under
@@ -29,14 +29,6 @@ semantic answer cache pins entries to. Four backends ship:
   proceed *while* appends, seals and compactions land; every response
   records the snapshot it served (``extra["snapshot_n"]``), which is
   what the freshness metrics and the serial re-derivation gate key on.
-* :class:`ShardedBackend` — a
-  :class:`~repro.shard.coordinator.ShardCoordinator` fronting N worker
-  *processes*, one per contiguous time span. Execution leaves this
-  interpreter entirely (the GIL stops being the throughput ceiling);
-  sessions here are thin because the warm per-preference state lives in
-  the shard workers' own pools. Responses carry per-shard fanout detail
-  in ``extra``, which :class:`~repro.service.metrics.MetricsCollector`
-  picks up automatically.
 """
 
 from __future__ import annotations
@@ -50,7 +42,7 @@ from repro.core.session import QuerySession
 from repro.minidb.procedures import t_base_batch_procedure, t_hop_batch_procedure
 from repro.service.request import QueryRequest
 
-__all__ = ["EngineBackend", "LiveBackend", "MiniDBBackend", "ShardedBackend"]
+__all__ = ["EngineBackend", "LiveBackend", "MiniDBBackend"]
 
 
 class EngineBackend:
@@ -150,86 +142,6 @@ class LiveBackend:
     def close(self) -> None:
         """Stop the live dataset's maintenance thread."""
         self.live.close()
-
-
-class ShardedBackend:
-    """Serve requests through a multi-process shard coordinator.
-
-    The pooled session is a stub: per-preference warm state (indexes,
-    score caches) lives inside each shard worker's own session pool and
-    survives independently of this service's pool, so a pool miss here
-    costs one pickle round of the scorer and nothing else. The service's
-    per-preference batching still pays off — batched requests hit the
-    shard workers' warm sessions back to back.
-
-    ``cache`` optionally plugs a coordinator-level
-    :class:`~repro.cache.SemanticAnswerCache` in *front of the scatter*:
-    cached requests are answered without touching a single worker pipe,
-    only the misses fan out, and every gathered answer back-fills the
-    cache. Scatter-gather is the most expensive execution path in the
-    stack (pickle + pipe round per shard), so this is where structural
-    reuse saves the most. The cache is thread-safe and shared across
-    service workers; the sharded dataset is immutable, so its one
-    version pins every entry.
-    """
-
-    name = "sharded"
-
-    def __init__(self, coordinator, cache=None) -> None:
-        self.coordinator = coordinator
-        self.cache = cache
-
-    def dataset_version(self):
-        """The shared-memory dataset's content epoch."""
-        return getattr(self.coordinator.dataset, "version", 0)
-
-    def make_session(self, scorer) -> QuerySession:
-        scorer.validate_for(self.coordinator.dataset.d)
-        return QuerySession(getattr(scorer, "u", None))
-
-    def execute_batch(
-        self, session, requests: list[QueryRequest]
-    ) -> list[DurableTopKResult]:
-        """Scatter the batch as one seq-tagged sub-request per shard.
-
-        With a cache attached, cached answers are peeled off first and
-        only the remaining misses scatter (fewer pipe rounds, smaller
-        sub-batches); the gathered answers then back-fill the cache.
-        """
-        if self.cache is None:
-            return self.coordinator.query_batch(requests)
-        version = self.dataset_version()
-        results: list[DurableTopKResult | None] = [None] * len(requests)
-        misses: list[int] = []
-        for i, request in enumerate(requests):
-            cached = self.cache.get(request, version)
-            if cached is not None:
-                results[i] = cached
-            else:
-                misses.append(i)
-        if misses:
-            gathered = self.coordinator.query_batch([requests[i] for i in misses])
-            for i, result in zip(misses, gathered):
-                results[i] = result
-                self.cache.put(requests[i], version, result)
-        return results  # type: ignore[return-value]
-
-    def metrics_source(self) -> dict:
-        """Worker lifecycle counters for the service metrics snapshot.
-
-        Polled by :class:`~repro.service.metrics.MetricsCollector` at
-        snapshot time; reads coordinator-local counters only (no pipe
-        round-trip), so it is safe to call at any frequency.
-        """
-        stats = self.coordinator.stats()
-        return {
-            "shard_restarts": stats["restarts"],
-            "shard_revivals": stats["revivals"],
-        }
-
-    def close(self) -> None:
-        """Stop the shard workers (and their shared block, if owned)."""
-        self.coordinator.close()
 
 
 class MiniDBBackend:

@@ -12,8 +12,8 @@ registry series (``service.requests.submitted``,
 the same numbers the snapshot reports are exposable as Prometheus text
 via :func:`repro.obs.render_prometheus`. Each collector owns a private
 registry by default — bench drivers create or reset one per measured
-round — while process-wide series (WAL, pool evictions, shard restarts)
-live in the obs global registry. The snapshot/report API is unchanged.
+round — while process-wide series (WAL, pool evictions) live in the
+obs global registry. The snapshot/report API is unchanged.
 
 The service records a handful of events per *batch*; each touches a few
 per-series locks, far off the per-query hot path.
@@ -73,11 +73,6 @@ class MetricsSnapshot:
     wait_p95: float
     service_p95: float
     extra: dict = field(default_factory=dict)
-    #: Requests by scatter width (#shards touched); empty off sharded
-    #: backends.
-    fanout: dict[int, int] = field(default_factory=dict)
-    #: Sub-queries served per shard id; empty off sharded backends.
-    shard_queries: dict[int, int] = field(default_factory=dict)
     #: Requests answered by another request's execution (single-flight),
     #: split by where the absorb happened: inside one batch pickup
     #: (``coalesced_batch``) vs joining an earlier batch's still-open
@@ -86,11 +81,6 @@ class MetricsSnapshot:
     coalesced: int = 0
     coalesced_batch: int = 0
     coalesced_inflight: int = 0
-    #: Shard worker processes respawned (lifetime of the backend), and
-    #: the subset revived by a health check finding them dead between
-    #: requests. Zero off sharded backends.
-    shard_restarts: int = 0
-    shard_revivals: int = 0
     #: Per-SLO burn-rate status (see :meth:`repro.obs.slo.SLOMonitor.status`);
     #: empty when the collector carries no SLO monitor.
     slo: dict[str, dict] = field(default_factory=dict)
@@ -114,14 +104,6 @@ class MetricsSnapshot:
     @property
     def mean_batch_size(self) -> float:
         return self.completed / self.batches if self.batches else 0.0
-
-    @property
-    def mean_fanout(self) -> float:
-        """Average #shards a sharded request scattered to (0.0 unsharded)."""
-        total = sum(self.fanout.values())
-        if not total:
-            return 0.0
-        return sum(width * count for width, count in self.fanout.items()) / total
 
     def as_dict(self) -> dict:
         out = {
@@ -147,13 +129,6 @@ class MetricsSnapshot:
         }
         if self.extra:
             out["extra"] = dict(self.extra)
-        if self.fanout:
-            out["fanout"] = dict(self.fanout)
-            out["mean_fanout"] = round(self.mean_fanout, 3)
-            out["shard_queries"] = dict(self.shard_queries)
-        if self.shard_restarts or self.shard_revivals:
-            out["shard_restarts"] = self.shard_restarts
-            out["shard_revivals"] = self.shard_revivals
         if self.slo:
             out["slo"] = {
                 name: dict(status) for name, status in self.slo.items()
@@ -188,22 +163,6 @@ class MetricsSnapshot:
                 f"{cache.get('bytes', 0)} bytes resident, "
                 f"{cache.get('evictions', 0)} evicted"
             )
-        if self.fanout:
-            widths = ", ".join(
-                f"{width}->{count}" for width, count in sorted(self.fanout.items())
-            )
-            shares = ", ".join(
-                f"s{shard}={count}" for shard, count in sorted(self.shard_queries.items())
-            )
-            lines.append(
-                f"  shard fanout: mean {self.mean_fanout:.2f} "
-                f"(width->requests: {widths}; sub-queries: {shares})"
-            )
-        if self.fanout or self.shard_restarts or self.shard_revivals:
-            lines.append(
-                f"  shard workers: {self.shard_restarts} restarts "
-                f"({self.shard_revivals} health-check revivals)"
-            )
         for name, status in sorted(self.slo.items()):
             state = "BURNING" if status.get("burning") else "ok"
             lines.append(
@@ -227,9 +186,9 @@ class MetricsCollector:
 
     Every counter is a series in ``self.registry`` (private by default;
     pass one to share). ``add_source`` registers a callable polled at
-    snapshot time for backend-owned gauges — the sharded backend reports
-    its worker restarts/revivals this way, so the service snapshot
-    surfaces them like ``fanout`` without the service polling shards.
+    snapshot time for component-owned gauges — the answer cache reports
+    its hit/miss/eviction counts this way, so the service snapshot
+    surfaces them in ``extra`` without the service polling the cache.
 
     Pass an :class:`~repro.obs.slo.SLOMonitor` as ``slos`` to evaluate
     burn rates over the same event stream: every answered response feeds
@@ -304,27 +263,17 @@ class MetricsCollector:
     def coalesced_inflight(self) -> int:
         return self._labeled("service.coalesced", "mode").get("inflight", 0)
 
-    def _labeled(self, name: str, label: str, as_int_key: bool = False) -> dict:
+    def _labeled(self, name: str, label: str) -> dict:
         out: dict = {}
         for series in self.registry.collect(kind="counter", prefix=name):
             labels = dict(series.labels)
-            if label not in labels:
-                continue
-            key = int(labels[label]) if as_int_key else labels[label]
-            out[key] = series.value
+            if label in labels:
+                out[labels[label]] = series.value
         return out
 
     @property
     def rejected(self) -> dict[str, int]:
         return self._labeled("service.rejected", "reason")
-
-    @property
-    def fanout(self) -> dict[int, int]:
-        return self._labeled("service.fanout", "width", as_int_key=True)
-
-    @property
-    def shard_queries(self) -> dict[int, int]:
-        return self._labeled("service.shard_queries", "shard", as_int_key=True)
 
     # -- recording hooks (called by DurableTopKService) -----------------
     def record_submit(self) -> None:
@@ -354,9 +303,6 @@ class MetricsCollector:
     def record_response(self, response: QueryResponse) -> None:
         if response.error is not None:
             return  # rejections are counted by record_rejection only
-        shards = None
-        if response.result is not None:
-            shards = response.result.extra.get("shards")
         self._completed.inc()
         self._latency.observe(response.total_seconds)
         self._wait.observe(response.wait_seconds)
@@ -369,19 +315,11 @@ class MetricsCollector:
                 staleness = response.result.extra.get("staleness_rows")
             if staleness is not None:
                 self.slos.observe("staleness", float(staleness))
-        if shards:
-            # Sharded backends stamp the scatter set on every result;
-            # fold it into the fanout histogram and per-shard shares.
-            self.registry.counter("service.fanout", width=len(shards)).inc()
-            for shard in shards:
-                self.registry.counter("service.shard_queries", shard=shard).inc()
 
     def add_source(self, source: Callable[[], dict]) -> None:
         """Poll ``source()`` at snapshot time for backend-owned counters.
 
-        The returned dict's ``shard_restarts``/``shard_revivals`` keys
-        land in the matching snapshot fields; anything else lands in
-        ``snapshot.extra``. Source failures are surfaced, not swallowed —
+        The returned dict lands in ``snapshot.extra``. Source failures are surfaced, not swallowed —
         a backend that registers a source promises it stays callable.
         """
         self._sources.append(source)
@@ -401,8 +339,7 @@ class MetricsCollector:
 
         This is the post-warmup reset: percentiles, throughput and
         counters all start from zero. Snapshot sources stay registered
-        (backend-lifetime counters like shard restarts are cumulative by
-        design).
+        (their counters are cumulative by design).
         """
         self.registry.reset()
         if self.slos is not None:
@@ -418,8 +355,6 @@ class MetricsCollector:
         sourced: dict = {}
         for source in self._sources:
             sourced.update(source())
-        shard_restarts = int(sourced.pop("shard_restarts", 0))
-        shard_revivals = int(sourced.pop("shard_revivals", 0))
         slo = self.slos.status() if self.slos is not None else {}
         return MetricsSnapshot(
             elapsed_seconds=elapsed,
@@ -436,12 +371,8 @@ class MetricsCollector:
             wait_p95=percentile(wait, 95),
             service_p95=percentile(service, 95),
             extra=sourced,
-            fanout=self.fanout,
-            shard_queries=self.shard_queries,
             coalesced=self.coalesced,
             coalesced_batch=self.coalesced_batch,
             coalesced_inflight=self.coalesced_inflight,
-            shard_restarts=shard_restarts,
-            shard_revivals=shard_revivals,
             slo=slo,
         )

@@ -181,11 +181,6 @@ class DurableTopKService:
         self._version_of = getattr(backend, "dataset_version", None) or (lambda: 0)
         self.pool = SessionPool(pool_capacity)
         self.metrics = metrics if metrics is not None else MetricsCollector()
-        # Backends that own lifecycle counters (the sharded backend's
-        # worker restarts/revivals) publish them into the snapshot here.
-        source = getattr(backend, "metrics_source", None)
-        if source is not None:
-            self.metrics.add_source(source)
         if cache is not None:
             self.metrics.add_source(lambda: {"cache": cache.stats()})
         self._build_gate = threading.Semaphore(max_concurrent_builds)

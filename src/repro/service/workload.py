@@ -182,30 +182,6 @@ class WorkloadGenerator:
         rank = int(self._rng.choice(len(self.scorers), p=self.popularity))
         return [self._request_for(rank) for _ in range(size)]
 
-    def fanout_profile(self, requests: Sequence[QueryRequest], spans) -> dict[int, int]:
-        """Offered scatter width of a request stream over shard spans.
-
-        ``spans`` are inclusive ownership ranges — either
-        :class:`~repro.shard.dataset.ShardSpan` tuples or plain
-        ``(lo, hi)`` pairs. Returns a histogram mapping *width* (how
-        many spans a request's interval straddles) to request count;
-        this is the fanout the workload *offers*, which the serving
-        metrics' measured fanout should match.
-        """
-        ranges = []
-        for span in spans:
-            if hasattr(span, "lo"):
-                ranges.append((span.lo, span.hi))
-            else:
-                lo, hi = span
-                ranges.append((int(lo), int(hi)))
-        profile: dict[int, int] = {}
-        for request in requests:
-            lo, hi = request.as_query().resolve_interval(self.n)
-            width = sum(1 for slo, shi in ranges if slo <= hi and shi >= lo)
-            profile[width] = profile.get(width, 0) + 1
-        return profile
-
 
 def open_loop_arrivals(
     requests: Iterable[QueryRequest], rate: float, seed: int = 0

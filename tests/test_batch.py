@@ -6,8 +6,7 @@ loop: same ids, same durations, same per-query :class:`QueryStats`
 (and, for MiniDB, the same logical/physical page counts). These
 randomized property tests pin that contract for the vectorised window
 kernel, the engine, the MiniDB batch procedures, the live dataset
-(including tail-straddling windows and FUTURE-direction queries) and
-the multi-process shard coordinator.
+(including tail-straddling windows and FUTURE-direction queries).
 """
 
 from __future__ import annotations
@@ -30,8 +29,6 @@ from repro.minidb.procedures import (
     t_hop_procedure,
 )
 from repro.scoring import LinearPreference
-from repro.service.request import QueryRequest
-from repro.shard.coordinator import ShardCoordinator
 
 
 @pytest.fixture(scope="module")
@@ -298,53 +295,3 @@ class TestLiveBatchEquivalence:
                 )
         finally:
             live.close()
-
-
-# ----------------------------------------------------------------------
-# Shard coordinator (multi-process scatter-gather)
-# ----------------------------------------------------------------------
-class TestShardedBatchEquivalence:
-    def test_batch_matches_serial_scatter(self, scorer):
-        data = independent_uniform(420, 2, seed=31)
-        rng = np.random.default_rng(31)
-        queries, algorithms = random_queries(rng, data.n, 12, future_fraction=0.25)
-        algorithms = [
-            "t-hop" if name == "auto" else name for name in algorithms
-        ]
-        requests = [
-            QueryRequest(
-                scorer=scorer,
-                k=query.k,
-                tau=query.tau,
-                interval=query.interval,
-                direction=query.direction,
-                algorithm=name,
-            )
-            for query, name in zip(queries, algorithms)
-        ]
-        requests += requests[:3]
-        with ShardCoordinator(data, n_shards=3) as coordinator:
-            batch = coordinator.query_batch(requests, with_durations=True)
-            for request, got in zip(requests, batch):
-                want = coordinator.query(request, with_durations=True)
-                assert got.ids == want.ids, request
-                assert got.stats.as_dict() == want.stats.as_dict(), request
-                assert got.durations == want.durations
-                assert got.extra["shard_fanout"] == want.extra["shard_fanout"]
-                assert got.extra["shards"] == want.extra["shards"]
-
-    def test_mixed_preferences_rejected(self, scorer):
-        data = independent_uniform(100, 2, seed=37)
-        other = LinearPreference([0.2, 0.8])
-        requests = [
-            QueryRequest(scorer=scorer, k=2, tau=10, algorithm="t-hop"),
-            QueryRequest(scorer=other, k=2, tau=10, algorithm="t-hop"),
-        ]
-        with ShardCoordinator(data, n_shards=2) as coordinator:
-            with pytest.raises(ValueError, match="one preference"):
-                coordinator.query_batch(requests)
-
-    def test_empty_batch(self, scorer):
-        data = independent_uniform(80, 2, seed=41)
-        with ShardCoordinator(data, n_shards=2) as coordinator:
-            assert coordinator.query_batch([]) == []

@@ -3,7 +3,8 @@
 The headline test is wire equivalence: answers served over a real
 localhost socket must be byte-identical — ids, durations, stats — to
 the same requests executed on an in-process engine. Around it: framing
-under adversarial TCP chunking, the pre-hashed auth fast path
+under adversarial TCP chunking (and a byte-fuzzed decoder that raises
+nothing but typed protocol errors), the pre-hashed auth fast path
 (unknown/revoked keys, registry refresh without restart), per-tenant
 token-bucket fairness between competing tenants, queue quotas, and
 graceful drain (in-flight requests complete, new connections refused).
@@ -21,15 +22,19 @@ from concurrent.futures import Future
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.engine import DurableTopKEngine
 from repro.gateway import (
     ApiKeyRegistry,
     DurableTopKGateway,
+    ErrorCode,
     FrameDecoder,
     FrameTooLarge,
     GatewayClient,
     GatewayError,
+    ProtocolError,
     Tenant,
     encode_frame,
 )
@@ -128,6 +133,28 @@ class TestFraming:
             # Header only: the decoder must refuse before any body bytes.
             decoder.feed(struct.pack(">I", 1 << 20))
 
+    def test_deeply_nested_body_is_a_bad_request(self):
+        # json.loads raises RecursionError on this body, not ValueError.
+        body = b"[" * 200_000
+        with pytest.raises(ProtocolError) as raised:
+            FrameDecoder().feed(struct.pack(">I", len(body)) + body)
+        assert raised.value.code is ErrorCode.BAD_REQUEST
+
+    def test_deeply_nested_body_on_socket_errors_and_disconnects(self):
+        service = ManualService()
+        gateway = make_gateway(service)
+        try:
+            client = GatewayClient("127.0.0.1", gateway.port, key="key-acme")
+            body = b"[" * 200_000
+            client._sock.sendall(struct.pack(">I", len(body)) + body)
+            error = client.recv()
+            assert error["code"] == "bad_request"
+            with pytest.raises(GatewayError):
+                client.recv()
+            client.close()
+        finally:
+            gateway.close()
+
     def test_socket_split_reads(self):
         service = ManualService()
         gateway = make_gateway(service)
@@ -158,6 +185,77 @@ class TestFraming:
             client.close()
         finally:
             gateway.close()
+
+
+# ----------------------------------------------------------------------
+# Byte-fuzzed decoder
+# ----------------------------------------------------------------------
+def _feed_in_chunks(decoder: FrameDecoder, wire: bytes, sizes: list[int]) -> list[dict]:
+    """Feed ``wire`` in chunks whose sizes cycle through ``sizes``."""
+    frames: list[dict] = []
+    start = i = 0
+    while start < len(wire):
+        size = sizes[i % len(sizes)]
+        frames.extend(decoder.feed(wire[start : start + size]))
+        start += size
+        i += 1
+    return frames
+
+
+def _framed(body: bytes) -> bytes:
+    return struct.pack(">I", len(body)) + body
+
+
+_chunk_sizes = st.lists(st.integers(min_value=1, max_value=4096), min_size=1, max_size=8)
+# Raw bytes mostly announce lengths past the ceiling, so most streams are
+# well-framed bodies too: arbitrary bytes, JSON-ish text, deep nesting.
+_bodies = st.one_of(
+    st.binary(max_size=256),
+    st.text(alphabet='[]{}":,0123456789.eE+-tfnul \\', max_size=256).map(str.encode),
+    st.builds(
+        lambda opener, depth: opener * depth,
+        st.sampled_from([b"[", b'{"a":', b"[{}"]),
+        st.integers(min_value=0, max_value=60_000),
+    ),
+)
+_streams = st.one_of(
+    st.binary(max_size=512),
+    st.lists(st.one_of(_bodies.map(_framed), st.binary(max_size=8)), max_size=6).map(
+        b"".join
+    ),
+)
+_json = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=20),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=12,
+)
+
+
+class TestDecoderFuzz:
+    @given(wire=_streams, sizes=_chunk_sizes)
+    @settings(max_examples=300, deadline=None)
+    def test_arbitrary_bytes_raise_only_protocol_errors(self, wire, sizes):
+        decoder = FrameDecoder()
+        try:
+            frames = _feed_in_chunks(decoder, wire, sizes)
+        except ProtocolError:
+            return  # typed: the server answers it and hangs up
+        assert all(isinstance(frame, dict) for frame in frames)
+
+    @given(
+        frames=st.lists(st.dictionaries(st.text(max_size=8), _json, max_size=5), max_size=5),
+        sizes=_chunk_sizes,
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_valid_frames_decode_the_same_under_every_chunking(self, frames, sizes):
+        wire = b"".join(encode_frame(frame) for frame in frames)
+        assert FrameDecoder().feed(wire) == frames
+        assert _feed_in_chunks(FrameDecoder(), wire, sizes) == frames
 
 
 # ----------------------------------------------------------------------

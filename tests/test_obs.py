@@ -1,11 +1,10 @@
 """Tests for the observability layer (`repro.obs`).
 
-Covers the PR's contracts: thread-safe span stacks and registry series
-under racing threads, trace propagation across the shard process
-boundary (stitched parent/child ids), slowest-N retention under churn,
+Covers the layer's contracts: thread-safe span stacks and registry
+series under racing threads, slowest-N retention under churn,
 near-zero disabled cost call sites, byte-identical traced answers, the
-metrics fold (full ``reset()``, backend-sourced restart counters), and
-the exporters (Prometheus text, JSON log lines, waterfalls).
+metrics fold (full ``reset()``, polled snapshot sources), and the
+exporters (Prometheus text, JSON log lines, waterfalls).
 """
 
 from __future__ import annotations
@@ -28,13 +27,10 @@ from repro.obs import (
     Span,
     Trace,
     TraceBuffer,
-    absorb_remote_spans,
-    begin_remote,
     configure_json_logging,
     current_context,
     disable,
     enable,
-    end_remote,
     format_waterfall,
     global_registry,
     render_prometheus,
@@ -44,7 +40,6 @@ from repro.obs.trace import reset_for_tests
 from repro.scoring import LinearPreference
 from repro.service import MetricsCollector, QueryRequest, QueryResponse
 from repro.service.request import RejectionReason
-from repro.shard import ShardCoordinator
 
 
 @pytest.fixture(autouse=True)
@@ -80,6 +75,16 @@ class TestSpans:
         assert inner.attrs["answers"] == 7
         assert 0.0 <= inner.duration <= trace.root.duration
         assert root.attrs["batch_size"] == 2
+
+    def test_current_context_names_the_innermost_open_span(self):
+        assert current_context() is None
+        enable()
+        assert current_context() is None  # no span open
+        with trace_span("service.batch") as root:
+            assert current_context() == (root.trace_id, root.span_id)
+            with trace_span("engine.query") as child:
+                assert current_context() == (root.trace_id, child.span_id)
+        assert current_context() is None
 
     def test_threads_get_independent_stacks(self):
         """Racing threads must never cross-link spans (thread-local stacks)."""
@@ -134,87 +139,6 @@ class TestSpans:
 
 
 # ----------------------------------------------------------------------
-# Cross-process propagation (the shard pipe)
-# ----------------------------------------------------------------------
-class TestRemoteStitching:
-    def test_begin_end_remote_reparents_to_anchor(self):
-        enable()
-        with trace_span("shard.scatter") as scatter:
-            ctx = current_context()
-        assert ctx == (scatter.trace_id, scatter.span_id)
-        # Simulate the worker side of the pipe in-process.
-        reset_for_tests()
-        session = begin_remote(ctx)
-        with trace_span("shard.worker", shard=1):
-            with trace_span("engine.query", k=3):
-                pass
-        wire = end_remote(session)
-        assert len(TRACES) == 0  # remote traces never complete locally
-        assert [w["name"] for w in wire] == ["shard.worker", "engine.query"]
-        worker_root, engine = wire
-        assert worker_root["trace_id"] == scatter.trace_id
-        assert worker_root["parent_id"] == scatter.span_id
-        assert engine["parent_id"] == worker_root["span_id"]
-
-    def test_absorb_stitches_into_inflight_trace_only(self):
-        enable()
-        with trace_span("shard.scatter") as scatter:
-            ctx = current_context()
-            remote = [
-                Span(
-                    trace_id=scatter.trace_id,
-                    span_id="deadbeef-1",
-                    parent_id=ctx[1],
-                    name="shard.worker",
-                    start=scatter.start,
-                    duration=0.001,
-                    pid=99999,
-                ).to_wire()
-            ]
-            absorb_remote_spans(remote)
-        (trace,) = TRACES.slowest()
-        names = [s.name for s in trace.spans]
-        assert names == ["shard.scatter", "shard.worker"]
-        # After completion the same spans are dropped, not resurrected.
-        absorb_remote_spans(remote)
-        assert len(TRACES.slowest()[0].spans) == 2
-
-    def test_sharded_query_yields_one_stitched_tree(self, small_ind):
-        """The acceptance scenario: coordinator + worker spans, one tree."""
-        request = QueryRequest(
-            scorer=LinearPreference([0.6, 0.4]), k=3, tau=120, algorithm="t-hop"
-        )
-        with ShardCoordinator(small_ind, n_shards=3) as coordinator:
-            untraced = coordinator.query(request)
-            enable()
-            with trace_span("service.batch", batch_size=1):
-                traced = coordinator.query(request)
-            disable()
-        # Tracing observes, never participates.
-        assert traced.ids == untraced.ids
-        assert traced.stats.as_dict() == untraced.stats.as_dict()
-
-        (trace,) = TRACES.slowest()
-        root = trace.root
-        (scatter,) = trace.children_of(root.span_id)
-        assert scatter.name == "shard.scatter"
-        assert scatter.attrs["fanout"] == 3
-        workers = trace.children_of(scatter.span_id)
-        assert [w.name for w in workers] == ["shard.worker"] * 3
-        assert {w.attrs["shard"] for w in workers} == {0, 1, 2}
-        pids = {w.pid for w in workers}
-        assert len(pids) == 3 and root.pid not in pids
-        for worker in workers:
-            (engine,) = trace.children_of(worker.span_id)
-            assert engine.name == "engine.query"
-            assert engine.attrs["durability_topk"] >= 1
-            (index,) = trace.children_of(engine.span_id)
-            assert index.name == "index.topk"
-            assert index.attrs["candidates_scanned"] > 0
-            assert index.attrs["calls"] == engine.attrs["durability_topk"]
-
-
-# ----------------------------------------------------------------------
 # Layer attributes
 # ----------------------------------------------------------------------
 class TestLayerSpans:
@@ -230,6 +154,24 @@ class TestLayerSpans:
         assert span.attrs["durability_topk"] == result.stats.durability_topk_queries
         (index,) = trace.children_of(span.span_id)
         assert index.name == "index.topk"
+
+    def test_index_span_counts_every_topk_call_without_changing_answers(
+        self, small_ind
+    ):
+        engine = DurableTopKEngine(small_ind)
+        scorer = LinearPreference([0.6, 0.4])
+        query = DurableTopKQuery(k=3, tau=120)
+        untraced = engine.query(query, scorer, "t-hop")
+        enable()
+        traced = engine.query(query, scorer, "t-hop")
+        disable()
+        assert traced.ids == untraced.ids
+        assert traced.stats.as_dict() == untraced.stats.as_dict()
+        (trace,) = TRACES.slowest()
+        (index,) = trace.children_of(trace.root.span_id)
+        assert trace.root.attrs["durability_topk"] >= 1
+        assert index.attrs["calls"] == trace.root.attrs["durability_topk"]
+        assert index.attrs["candidates_scanned"] > 0
 
     def test_live_snapshot_span_reports_parts_resolved(self):
         live = LiveDataset(d=2)
@@ -328,9 +270,8 @@ class TestRegistry:
 # ----------------------------------------------------------------------
 # The metrics fold (collector over registry)
 # ----------------------------------------------------------------------
-def _response(total=0.010, wait=0.002, shards=None):
-    extra = {"shards": shards} if shards else {}
-    result = type("R", (), {"ids": [1], "extra": extra})()
+def _response(total=0.010, wait=0.002):
+    result = type("R", (), {"ids": [1], "extra": {}})()
     request = QueryRequest(scorer=LinearPreference([0.5, 0.5]), k=3, tau=50)
     return QueryResponse(
         request=request,
@@ -342,20 +283,17 @@ def _response(total=0.010, wait=0.002, shards=None):
 
 
 class TestMetricsCollector:
-    def test_counters_are_registry_series(self):
+    def test_service_counters_are_registry_series(self):
         collector = MetricsCollector()
         collector.record_submit()
         collector.record_batch(pool_hit=True)
         collector.record_rejection(RejectionReason.QUEUE_FULL)
-        collector.record_response(_response(shards=[0, 2]))
+        collector.record_response(_response())
         snap = collector.snapshot()
         assert snap.submitted == 1 and snap.completed == 1
         assert snap.rejected == {RejectionReason.QUEUE_FULL.value: 1}
-        assert snap.fanout == {2: 1}
-        assert snap.shard_queries == {0: 1, 2: 1}
         flat = collector.registry.as_dict()
         assert flat["service.requests.submitted"] == 1
-        assert flat["service.fanout{width=2}"] == 1
 
     def test_reset_clears_samples_and_counters(self):
         """The satellite fix: reset() drops warmup samples, not just the clock."""
@@ -377,17 +315,11 @@ class TestMetricsCollector:
         collector.reset_clock()
         assert collector.snapshot().completed == 1  # documented clock-only reset
 
-    def test_snapshot_pulls_backend_sources(self):
+    def test_snapshot_folds_sources_into_extra(self):
         collector = MetricsCollector()
-        collector.add_source(
-            lambda: {"shard_restarts": 2, "shard_revivals": 1, "other": 9}
-        )
+        collector.add_source(lambda: {"other": 9})
         snap = collector.snapshot()
-        assert snap.shard_restarts == 2
-        assert snap.shard_revivals == 1
         assert snap.extra["other"] == 9
-        assert snap.as_dict()["shard_restarts"] == 2
-        assert "2 restarts (1 health-check revivals)" in snap.report()
 
 
 # ----------------------------------------------------------------------

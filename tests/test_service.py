@@ -27,7 +27,6 @@ from repro.service import (
     MetricsCollector,
     MiniDBBackend,
     QueryRequest,
-    QueryResponse,
     RejectionReason,
     SessionPool,
     WorkloadGenerator,
@@ -521,27 +520,6 @@ class TestMetrics:
         samples = [1.0, 2.0, 3.0]
         assert percentile(samples, -5) == 1.0
         assert percentile(samples, 250) == 3.0
-
-    def test_collector_accumulates_shard_fanout_from_extras(self, linear_2d):
-        from repro.core.query import DurableTopKResult
-
-        metrics = MetricsCollector()
-        request = QueryRequest(scorer=linear_2d, k=3, tau=10)
-        for shards in ([0], [0, 1], [1, 2], [0, 1]):
-            result = DurableTopKResult(
-                ids=[],
-                query=request.as_query(),
-                algorithm="t-hop",
-                extra={"shards": shards, "shard_fanout": len(shards)},
-            )
-            metrics.record_response(
-                QueryResponse(request=request, result=result, total_seconds=0.001)
-            )
-        snap = metrics.snapshot()
-        assert snap.fanout == {1: 1, 2: 3}
-        assert snap.shard_queries == {0: 3, 1: 3, 2: 1}
-        assert snap.mean_fanout == pytest.approx(7 / 4)
-        assert snap.as_dict()["mean_fanout"] == pytest.approx(1.75)
 
     def test_snapshot_and_report(self, small_ind, linear_2d):
         metrics = MetricsCollector()

@@ -147,15 +147,6 @@ class TestDashboardFrame:
         dashboard, _, _ = make_dashboard()
         assert "no traces retained" in dashboard.frame()
 
-    def test_fanout_row_appears_only_for_sharded_traffic(self):
-        dashboard, collector, registry = make_dashboard()
-        assert "fanout" not in dashboard.frame()
-        registry.counter("service.fanout", width=2).inc()
-        registry.counter("service.shard_queries", shard=0).inc()
-        registry.counter("service.shard_queries", shard=1).inc()
-        frame = dashboard.frame()
-        assert "fanout" in frame and "s0=1" in frame
-
 
 class TestTopCLI:
     def test_run_top_once_renders_headless(self):
