@@ -1,28 +1,26 @@
 """Semantic answer caching for durable top-k serving.
 
-Three tiers of structural reuse, cheapest first:
+Two tiers of structural reuse sit in front of execution, cheapest first:
 
 * **exact** — :class:`SemanticAnswerCache`: a byte-bounded LRU of
-  completed answers keyed on ``(version, preference, algorithm, k, tau,
-  I, direction)``. A hit replays a clone and skips the queue entirely.
-* **in-flight** — :class:`InFlightRegistry`: cross-batch single-flight;
-  a request identical to one already travelling through a backend joins
-  that flight instead of executing.
-* **seeded** — :class:`WindowMemo`: a persistent per-session window memo
-  that survives between batches, so contained/overlapping queries reuse
-  earlier traversals while still producing byte-identical output.
+  completed answers keyed on the version plus the request's
+  :attr:`~repro.service.request.QueryRequest.query_key` (preference,
+  algorithm, k, tau, I, direction). A hit replays a clone and skips the
+  queue entirely. The cache invalidates by epoch (``Dataset.version`` /
+  live snapshot version), never by scanning.
+* **in-flight** — :class:`InFlightRegistry`: single-flight; a request
+  identical to one already queued or executing joins that flight
+  instead of executing.
 
-All three invalidate by epoch (``Dataset.version`` / live snapshot
-version), never by scanning.
+Everything else is a **miss** and executes; the backends' batched paths
+answer a batch's repeated queries and windows once.
 """
 
 from repro.cache.answers import SemanticAnswerCache
 from repro.cache.inflight import InFlight, InFlightRegistry
-from repro.cache.windows import WindowMemo
 
 __all__ = [
     "InFlight",
     "InFlightRegistry",
     "SemanticAnswerCache",
-    "WindowMemo",
 ]

@@ -6,9 +6,9 @@ expected answer size at ``E[|S|] = k|I|/(tau+1)`` records (validated in
 Zipfian over a fixed catalogue of preferences whose hot query shapes
 repeat verbatim. :class:`SemanticAnswerCache` exploits both facts: it
 stores one completed :class:`~repro.core.query.DurableTopKResult` per
-query *structure*
+query *structure* — the request's ``query_key`` at one epoch,
 
-    ``(dataset_version, preference, algorithm, k, tau, I, direction)``
+    ``(dataset_version, (preference, algorithm, k, tau, I, direction))``
 
 and replays an independent clone on an exact structural hit, skipping
 the admission queue, the session pool and the execution backend
@@ -118,23 +118,11 @@ class SemanticAnswerCache:
     # ------------------------------------------------------------------
     @staticmethod
     def _key(request, version: object) -> Hashable:
-        """The structural identity of one request at one epoch.
-
-        ``request.key`` is the service's preference key (the scorer's
-        weight content, not its object identity), so equal-preference
-        requests share entries exactly as they share sessions. The raw
-        interval is used as given — the workload model repeats shapes
-        verbatim — and the version pins the epoch.
-        """
-        return (
-            version,
-            request.key,
-            request.algorithm,
-            request.k,
-            request.tau,
-            request.interval,
-            request.direction,
-        )
+        """The structural identity of one request at one epoch: the
+        request's :attr:`~repro.service.request.QueryRequest.query_key`
+        (the same key the service single-flights on) pinned to
+        ``version``."""
+        return (version, request.query_key)
 
     @staticmethod
     def estimate_bytes(request) -> int | None:

@@ -1,25 +1,18 @@
-"""Cross-batch single-flight: one in-flight execution absorbs duplicates.
+"""Single-flight: one in-flight execution absorbs identical requests.
 
-PR 6's single-flight coalescing collapses duplicate queries that happen
-to land in the *same* batch pickup — a worker deduplicates its batch,
-executes each distinct query once and clones the leader's report for the
-followers. But a duplicate arriving one batch *later* still paid a full
-execution, even though an identical query was already on its way through
-a backend.
-
-:class:`InFlightRegistry` lifts that window from one batch to the whole
-queue residency of the leader. The first request for a structural key
-``(preference, k, tau, I, direction, algorithm)`` **opens a flight** and
-proceeds through admission as usual; any identical request submitted
-while that flight is open **joins** it instead of entering the queue —
-no admission slot, no session, no execution. When the leader's batch
-settles, the service resolves every follower from the leader's outcome:
-a clone of the report on success, the same rejection on
+:class:`InFlightRegistry` is the service's only single-flight. The first
+request for a structural key (the request's
+:attr:`~repro.service.request.QueryRequest.query_key`: preference,
+algorithm, k, tau, I, direction) **opens a flight** and proceeds through
+admission as usual; any identical request submitted while that flight
+is open — queued or executing — **joins** it instead of entering the
+queue: no admission slot, no session, no execution. When the leader's
+batch settles, the service resolves every follower from the leader's
+outcome: a clone of the report on success, the same rejection on
 timeout/shutdown, the same exception on failure. Followers therefore
-inherit the leader's fate — exactly what would have happened had they
-landed in the leader's batch — and can never be left hanging: every
-path through ``_execute_batch`` settles the flight, and ``drain()``
-sweeps whatever remains at shutdown.
+inherit the leader's fate and can never be left hanging: every path
+through the service's batch execution settles the flight, and
+``drain()`` sweeps whatever remains at shutdown.
 
 Unlike the answer cache, the registry is *not* keyed on dataset version:
 joining a flight hands out a **future** execution whose snapshot is

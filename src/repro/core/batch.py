@@ -21,8 +21,9 @@ live dataset) can run in a single shared pass:
 The plan itself never executes anything: byte-identity of the batched
 path reduces to "each distinct query runs exactly the same code over a
 memo that only short-circuits repeated identical calls".
-:func:`plan_index` is the one place that decides which memo (if any)
-a plan's queries probe.
+:func:`plan_index` is the one place that decides whether a plan's
+queries probe a memo. The memo lives for one batch: nothing a batch
+learns about windows outlives it.
 """
 
 from __future__ import annotations
@@ -106,24 +107,18 @@ class BatchPlan:
         return windows
 
 
-def plan_index(plan: BatchPlan, index, persistent=None, version=None):
+def plan_index(plan: BatchPlan, index):
     """The top-k block ``plan``'s distinct queries probe.
 
-    ``persistent`` is a cross-batch
-    :class:`~repro.cache.windows.WindowMemo` (a serving session's): it is
-    re-bound to ``index`` at ``version`` and primed with the plan's
-    opening windows. Without one, a plan with several distinct queries
-    gets a batch-scoped :class:`~repro.index.topk.BatchTopKMemo`, primed
-    the same way, while a plan with one distinct query runs straight over
-    ``index`` — a lone query has no window to share, so a memo and a
-    priming pass would only cost it time.
+    A plan with several distinct queries gets a batch-scoped
+    :class:`~repro.index.topk.BatchTopKMemo` over ``index``, primed with
+    the plan's opening windows; a plan with one distinct query runs
+    straight over ``index`` — a lone query has no window to share, so a
+    memo and a priming pass would only cost it time.
     """
-    if persistent is not None:
-        memo = persistent.bind(index, version)
-    elif len(plan.unique) > 1:
-        memo = BatchTopKMemo(index)
-    else:
+    if len(plan.unique) < 2:
         return index
+    memo = BatchTopKMemo(index)
     for k, windows in plan.opening_windows().items():
         memo.prime(k, windows)
     return memo

@@ -10,7 +10,8 @@ five algorithms.
 pass: a :class:`~repro.core.batch.BatchPlan` collapses duplicate
 queries onto one execution, a :class:`~repro.index.topk.BatchTopKMemo`
 shares every identical top-k window between the batch's queries (primed
-with one vectorised sweep over the batch's opening windows), and each
+with one vectorised sweep over the batch's opening windows; it lives for
+this one call, so nothing is memoised across batches), and each
 answer — ids, per-query :class:`~repro.core.query.QueryStats`,
 durations — is byte-identical to answering that query alone. ``query``
 is a batch of one: a lone query runs straight over the index, with no
@@ -402,14 +403,8 @@ class DurableTopKEngine:
         ]
         if past:
             inner = session.index if session is not None else self._bound_index(scorer)
-            # A serving backend may attach a cross-batch WindowMemo to the
-            # session: bound to this batch's index/epoch, windows answered
-            # by earlier batches seed this one (stale epochs are dropped
-            # inside bind()). Placement is identical to the batch-scoped
-            # memo, so outputs stay byte-identical.
-            persistent = session.window_memo if session is not None else None
             plan = BatchPlan(past, self.dataset.n)
-            memo = plan_index(plan, inner, persistent, self.dataset.version)
+            memo = plan_index(plan, inner)
             for entry in plan.unique:
                 results[entry.position] = self._query_past(
                     entry.query, scorer, entry.algorithm, with_durations, memo

@@ -55,14 +55,6 @@ class QuerySession:
         Score vectors for contiguous row ranges, keyed by ``(lo, hi)``.
     page_scores:
         Score vectors for whole storage pages, keyed by page id.
-    window_memo / window_memo_reverse:
-        Optional persistent :class:`~repro.cache.windows.WindowMemo`
-        pair (forward / time-reversed) attached by a serving backend.
-        When present, batched execution binds the memo instead of a
-        batch-scoped one, so top-k windows answered by earlier batches
-        seed later ones (the cache's *seeded* tier). The memo re-binds
-        per batch against the dataset/snapshot version, so it obeys the
-        same epoch-invalidation contract as every other session cache.
     """
 
     __slots__ = (
@@ -71,8 +63,6 @@ class QuerySession:
         "points",
         "range_scores",
         "page_scores",
-        "window_memo",
-        "window_memo_reverse",
         "closed",
     )
 
@@ -82,25 +72,14 @@ class QuerySession:
         self.points: dict = {}
         self.range_scores: dict = {}
         self.page_scores: dict = {}
-        self.window_memo = None
-        self.window_memo_reverse = None
         self.closed = False
 
     def clear(self) -> None:
-        """Drop all cached state (the binding to ``u`` is kept).
-
-        Persistent window memos are emptied, not detached: an epoch
-        rebind calls ``clear()`` and must still find the memo attached
-        for the next batch.
-        """
+        """Drop all cached state (the binding to ``u`` is kept)."""
         self.ub.clear()
         self.points.clear()
         self.range_scores.clear()
         self.page_scores.clear()
-        if self.window_memo is not None:
-            self.window_memo.clear()
-        if self.window_memo_reverse is not None:
-            self.window_memo_reverse.clear()
 
     def close(self) -> None:
         """Release cached state and mark the session closed.

@@ -71,11 +71,6 @@ class BatchBenchResult:
         return self.report
 
 
-def _flight_signature(request) -> tuple:
-    return (request.k, request.tau, request.interval, request.direction,
-            request.algorithm)
-
-
 def _compare(batched, serial) -> int:
     """Mismatches between one batch's two executions (byte-identity)."""
     bad = 0
@@ -159,7 +154,7 @@ def batch_speedup_bench(
 
             mismatches += _compare(batched, serial)
             queries += len(batch)
-            distinct += len({_flight_signature(request) for request in batch})
+            distinct += len({request.query_key for request in batch})
 
         speedup = serial_cpu / batched_cpu if batched_cpu > 0 else float("inf")
         per_size[size] = {

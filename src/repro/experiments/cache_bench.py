@@ -6,15 +6,17 @@ repeating a small set of query shapes verbatim —
 ``WorkloadSpec.shapes_per_preference``) is driven pipelined through
 :class:`~repro.service.service.DurableTopKService` twice:
 
-* **uncached** — the PR 8 serving configuration: session pool and
-  batching only, every request executes.
+* **uncached** — session pool, batching and single-flight: every
+  request executes unless an identical one is already in flight.
 * **cached** — the same service fronted by a
   :class:`~repro.cache.SemanticAnswerCache` (exact-tier replay before
-  admission) with :class:`~repro.cache.WindowMemo` containment seeding
-  underneath (seeded tier). Exact hits skip the queue entirely, which
-  is why the win shows up in tail latency, not just throughput: queue
-  wait dominates p95 under pipelined load, and a hit removes the
-  request from the queue altogether.
+  admission). Exact hits skip the queue entirely, which is why the win
+  shows up in tail latency, not just throughput: queue wait dominates
+  p95 under pipelined load, and a hit removes the request from the
+  queue altogether.
+
+The service's :class:`~repro.cache.InFlightRegistry` is always on, so
+the two sides differ by the answer cache alone.
 
 Timing rounds are interleaved uncached/cached and the best round of
 each side is compared (cancels warmup drift); the answer cache persists
@@ -110,12 +112,8 @@ def _run_side(
     pool_capacity: int,
     cache: SemanticAnswerCache | None,
 ) -> _Round:
-    """Drive one pipelined round; ``cache is None`` is the uncached side.
-
-    The uncached side also runs without the window memo — it is the
-    PR 8 configuration, not this PR minus one tier.
-    """
-    backend = EngineBackend(DurableTopKEngine(dataset), window_memo=cache is not None)
+    """Drive one pipelined round; ``cache is None`` is the uncached side."""
+    backend = EngineBackend(DurableTopKEngine(dataset))
     with DurableTopKService(
         backend,
         workers=workers,
@@ -353,9 +351,8 @@ def cache_speedup_bench(
         f"workload: n={n} d=2, {n_preferences} preferences (zipf s={zipf_s}), "
         f"{shapes_per_preference} shapes/preference (zipf s={shape_zipf_s}), "
         f"t-hop, tau~{spec.tau_fractions}, |I|~{spec.interval_fractions}\n"
-        f"sides: uncached=PR 8 config (pool+batching), cached=+answer cache "
-        f"({cache_bytes // (1024 * 1024)} MiB) and window-memo seeding; "
-        f"pool capacity {pool_capacity}"
+        f"sides: uncached=pool+batching+single-flight, cached=+answer cache "
+        f"({cache_bytes // (1024 * 1024)} MiB); pool capacity {pool_capacity}"
     )
 
     def _row(label: str, best: _Round, hits: str) -> dict:

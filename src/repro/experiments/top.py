@@ -123,15 +123,13 @@ class Dashboard:
         # Rate bookkeeping runs every frame, rendered or not: otherwise
         # the frame a row first appears would report a delta accumulated
         # over many frames as if it happened in one.
-        seed_rate = self._rate(
-            "cache.window_seeds", self._counter_total("cache.window_seeds"), dt
-        )
+        join_rate = self._rate("service.coalesced", snap.coalesced, dt)
         if lookups:
             hits = tiers.get("exact", 0.0)
             resident = self._gauge_total("cache.bytes")
             lines.append(
                 f"cache      hit {hits / lookups:6.1%} ({hits:.0f}/{lookups:.0f})"
-                f"   seeds {seed_rate:6.1f}/s"
+                f"   joins {join_rate:6.1f}/s"
                 f"   resident {resident / 1024:7.1f} KiB"
             )
         gw_ok = gw_rejected = 0.0

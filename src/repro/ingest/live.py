@@ -514,8 +514,6 @@ class LiveDataset:
         algorithm="t-hop",
         with_durations: bool = False,
         snapshot: LiveSnapshot | None = None,
-        window_memo=None,
-        window_memo_reverse=None,
     ) -> list[DurableTopKResult]:
         """Answer a batch of queries over **one** snapshot in a shared pass.
 
@@ -529,15 +527,9 @@ class LiveDataset:
         durability windows once, primed by the segmented block's batched
         per-part pass. ``algorithm`` is one name or a per-query sequence.
         A whole batch sees a single consistent view: tail rows that land
-        mid-batch wait for the next one.
-
-        ``window_memo`` / ``window_memo_reverse`` optionally supply
-        persistent :class:`~repro.cache.windows.WindowMemo` instances
-        (forward / reversed) that are re-bound to this snapshot's
-        stitched index and version, so windows answered by earlier
-        batches seed this one across batch boundaries — the memo drops
-        its entries whenever the snapshot version moved, which is what
-        makes seeding safe under live ingest.
+        mid-batch wait for the next one. The memo lives for this call
+        only, so no window answered at one snapshot can reach a query at
+        another.
         """
         queries = list(queries)
         if isinstance(algorithm, str):
@@ -560,7 +552,7 @@ class LiveDataset:
         # Look-ahead queries run as their mirrored look-back form over the
         # reversed stitched block — the engine's construction — and are
         # deduplicated on that form (what executes).
-        for reverse, persistent in ((False, window_memo), (True, window_memo_reverse)):
+        for reverse in (False, True):
             group = [
                 (i, query.reversed(n) if reverse else query, algorithms[i])
                 for i, query in enumerate(queries)
@@ -570,7 +562,7 @@ class LiveDataset:
                 continue
             stitched = snap.stitched_index(scorer, reverse=reverse)
             plan = BatchPlan(group, n)
-            probe = plan_index(plan, stitched, persistent, snap.version)
+            probe = plan_index(plan, stitched)
             for entry in plan.unique:
                 result = self._query_past(
                     entry.query, scorer, entry.algorithm, with_durations, snap, stitched, probe,

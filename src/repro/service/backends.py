@@ -6,7 +6,11 @@ to execute a same-preference batch of requests
 (:class:`~repro.service.request.QueryRequest`) with such a session
 (``execute_batch``; a lone request is a batch of one), and which
 ``dataset_version()`` (content epoch) it currently serves — the key the
-semantic answer cache pins entries to. Three backends ship:
+semantic answer cache pins entries to. Every ``execute_batch`` returns
+one independent result per request, and repeated requests in a batch
+execute once with clones for their twins (MiniDB with ``cold=False``
+re-runs them: its page counts then depend on order), so the service
+hands every request to the backend as it is. Three backends ship:
 
 * :class:`EngineBackend` — the in-memory
   :class:`~repro.core.engine.DurableTopKEngine`. Queries under
@@ -46,34 +50,19 @@ __all__ = ["EngineBackend", "LiveBackend", "MiniDBBackend"]
 
 
 class EngineBackend:
-    """Serve requests through an in-memory :class:`DurableTopKEngine`.
-
-    ``window_memo=True`` (the default) attaches a persistent
-    :class:`~repro.cache.windows.WindowMemo` to every session it opens:
-    top-k windows answered by one batch seed later batches under the
-    same preference (the cache's *seeded* tier), while each query still
-    runs the real algorithm and charges its own stats — outputs stay
-    byte-identical to a memo-free run. Benchmarks pass ``False`` for an
-    honest uncached baseline.
-    """
+    """Serve requests through an in-memory :class:`DurableTopKEngine`."""
 
     name = "engine"
 
-    def __init__(self, engine, window_memo: bool = True) -> None:
+    def __init__(self, engine) -> None:
         self.engine = engine
-        self.window_memo = window_memo
 
     def dataset_version(self):
         """The served content epoch (immutable datasets stamp one version)."""
         return self.engine.dataset.version
 
     def make_session(self, scorer) -> QuerySession:
-        session = self.engine.session(scorer)
-        if self.window_memo:
-            from repro.cache import WindowMemo
-
-            session.window_memo = WindowMemo()
-        return session
+        return self.engine.session(scorer)
 
     def execute_batch(
         self, session, requests: list[QueryRequest]
@@ -101,9 +90,8 @@ class LiveBackend:
 
     name = "live"
 
-    def __init__(self, live, window_memo: bool = True) -> None:
+    def __init__(self, live) -> None:
         self.live = live
-        self.window_memo = window_memo
 
     def dataset_version(self):
         """The live content epoch: the monotone row-count version stamp."""
@@ -111,17 +99,7 @@ class LiveBackend:
 
     def make_session(self, scorer) -> QuerySession:
         scorer.validate_for(self.live.d)
-        session = QuerySession(getattr(scorer, "u", None))
-        if self.window_memo:
-            from repro.cache import WindowMemo
-
-            # One memo per direction: forward and reversed stitched
-            # indexes answer over mirrored coordinates, so their windows
-            # must never share entries. Both re-bind per batch against
-            # the snapshot version (epoch invalidation under ingest).
-            session.window_memo = WindowMemo()
-            session.window_memo_reverse = WindowMemo()
-        return session
+        return QuerySession(getattr(scorer, "u", None))
 
     def execute_batch(
         self, session, requests: list[QueryRequest]
@@ -131,8 +109,6 @@ class LiveBackend:
             [request.as_query() for request in requests],
             requests[0].scorer,
             algorithm=[request.algorithm for request in requests],
-            window_memo=session.window_memo,
-            window_memo_reverse=session.window_memo_reverse,
         )
         live_n = self.live.n
         for result in results:

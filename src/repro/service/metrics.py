@@ -73,14 +73,9 @@ class MetricsSnapshot:
     wait_p95: float
     service_p95: float
     extra: dict = field(default_factory=dict)
-    #: Requests answered by another request's execution (single-flight),
-    #: split by where the absorb happened: inside one batch pickup
-    #: (``coalesced_batch``) vs joining an earlier batch's still-open
-    #: flight at submit time (``coalesced_inflight``). ``coalesced``
-    #: stays the total for back-compat.
+    #: Requests answered by another request's execution: submits that
+    #: joined an identical request's open flight (single-flight).
     coalesced: int = 0
-    coalesced_batch: int = 0
-    coalesced_inflight: int = 0
     #: Per-SLO burn-rate status (see :meth:`repro.obs.slo.SLOMonitor.status`);
     #: empty when the collector carries no SLO monitor.
     slo: dict[str, dict] = field(default_factory=dict)
@@ -124,8 +119,6 @@ class MetricsSnapshot:
             "wait_p95_ms": round(self.wait_p95 * 1e3, 3),
             "service_p95_ms": round(self.service_p95 * 1e3, 3),
             "coalesced": self.coalesced,
-            "coalesced_batch": self.coalesced_batch,
-            "coalesced_inflight": self.coalesced_inflight,
         }
         if self.extra:
             out["extra"] = dict(self.extra)
@@ -149,8 +142,7 @@ class MetricsSnapshot:
             f"  queue wait p95: {self.wait_p95 * 1e3:.2f} ms   "
             f"service p95: {self.service_p95 * 1e3:.2f} ms",
             f"  batching: {self.batches} batches, mean size {self.mean_batch_size:.2f}, "
-            f"{self.coalesced} coalesced ({self.coalesced_batch} batch, "
-            f"{self.coalesced_inflight} in-flight)",
+            f"{self.coalesced} coalesced (flight joins)",
             f"  session pool: hit rate {self.pool_hit_rate:.1%} "
             f"({self.pool_hits} hits / {self.pool_misses} misses)",
         ]
@@ -218,6 +210,7 @@ class MetricsCollector:
         self._batches = self.registry.counter("service.batches")
         self._pool_hits = self.registry.counter("service.pool.hits")
         self._pool_misses = self.registry.counter("service.pool.misses")
+        self._coalesced = self.registry.counter("service.coalesced")
         self._latency = self.registry.histogram(
             "service.latency_seconds", window=sample_window
         )
@@ -252,16 +245,8 @@ class MetricsCollector:
 
     @property
     def coalesced(self) -> int:
-        """Total single-flight absorbs across both modes."""
-        return self.coalesced_batch + self.coalesced_inflight
-
-    @property
-    def coalesced_batch(self) -> int:
-        return self._labeled("service.coalesced", "mode").get("batch", 0)
-
-    @property
-    def coalesced_inflight(self) -> int:
-        return self._labeled("service.coalesced", "mode").get("inflight", 0)
+        """Submits that joined an identical request's open flight."""
+        return self._coalesced.value
 
     def _labeled(self, name: str, label: str) -> dict:
         out: dict = {}
@@ -291,14 +276,10 @@ class MetricsCollector:
         else:
             self._pool_misses.inc()
 
-    def record_coalesced(self, n: int, mode: str = "batch") -> None:
-        """Count requests that rode another identical request's execution.
-
-        ``mode`` says where the absorb happened: ``"batch"`` for
-        duplicates collapsed inside one batch pickup, ``"inflight"`` for
-        submits that joined an earlier batch's still-open flight.
-        """
-        self.registry.counter("service.coalesced", mode=mode).inc(n)
+    def record_coalesced(self, n: int) -> None:
+        """Count ``n`` requests that rode another identical request's
+        execution by joining its flight."""
+        self._coalesced.inc(n)
 
     def record_response(self, response: QueryResponse) -> None:
         if response.error is not None:
@@ -372,7 +353,5 @@ class MetricsCollector:
             service_p95=percentile(service, 95),
             extra=sourced,
             coalesced=self.coalesced,
-            coalesced_batch=self.coalesced_batch,
-            coalesced_inflight=self.coalesced_inflight,
             slo=slo,
         )

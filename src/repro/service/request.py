@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Hashable
 
 from repro.core.query import Direction, DurableTopKQuery, DurableTopKResult
@@ -99,6 +100,26 @@ class QueryRequest:
     def key(self) -> Hashable:
         """The batching/session key (see :func:`preference_key`)."""
         return preference_key(self.scorer)
+
+    @cached_property
+    def query_key(self) -> tuple:
+        """The request's structural identity: what makes two requests the
+        *same* query.
+
+        ``(preference key, algorithm, k, tau, interval, direction)`` —
+        the answer cache keys on it (prefixed by the epoch) and the
+        service's single-flight keys on it. The raw interval is used as
+        given; ``timeout`` and ``priority`` are serving policy, not
+        structure. Computed once per request object.
+        """
+        return (
+            self.key,
+            self.algorithm,
+            self.k,
+            self.tau,
+            self.interval,
+            self.direction,
+        )
 
     def as_query(self) -> DurableTopKQuery:
         """The engine-level query object for this request."""

@@ -18,24 +18,25 @@ into a multi-client serving layer:
   the backend's ``execute_batch`` in one call, so the index traversal
   work (skyline decode, block upper-bound sweeps, window top-k) is
   shared across the batch instead of re-run per request.
-* **Single-flight coalescing** — identical in-flight queries (same
-  ``(k, tau, interval, direction, algorithm)`` under one preference)
-  collapse onto one execution; every waiter gets its own copy of the
-  one answer. This works at two ranges: duplicates landing in the same
-  batch pickup dedupe inside the batch (``coalesced_batch``), and a
-  submit identical to a request *already queued or executing* joins
-  that request's flight in a cross-batch
-  :class:`~repro.cache.InFlightRegistry` without taking a queue slot
-  (``coalesced_inflight``). Followers inherit their leader's fate —
-  answer, timeout or shutdown — so no join can hang a future.
+* **Single-flight coalescing** — a submit identical to a request
+  *already queued or executing* (same
+  :attr:`~repro.service.request.QueryRequest.query_key`) joins that
+  request's flight in an :class:`~repro.cache.InFlightRegistry`
+  without taking a queue slot, and gets its own copy of the one answer
+  (``coalesced`` counts these joins). Followers inherit their leader's
+  fate — answer, timeout or shutdown — so no join can hang a future,
+  and a leader whose caller cancelled its future still executes for
+  its followers. Whatever reaches a batch is handed to the backend as
+  is: every backend's ``execute_batch`` runs a batch's repeated queries
+  once and clones the answer for the twins.
 * **Semantic answer cache** — pass a
   :class:`~repro.cache.SemanticAnswerCache` as ``cache`` and every
   submit first looks up the query's structure at the backend's current
   ``dataset_version()``; an exact hit replays a clone of the cached
   report and skips admission, queueing and execution entirely (the
-  response carries ``extra["cache"] = "exact"``). Batch leaders
-  back-fill the cache, keyed on the epoch their answer was actually
-  computed at, so ingest invalidates by construction.
+  response carries ``extra["cache"] = "exact"``). Every executed
+  request back-fills the cache, keyed on the epoch its answer was
+  actually computed at, so ingest invalidates by construction.
 * **Session pooling** — the per-preference
   :class:`~repro.core.session.QuerySession` survives between batches in
   a bounded LRU :class:`~repro.service.pool.SessionPool`, so a hot
@@ -43,6 +44,11 @@ into a multi-client serving layer:
 * **Metrics** — throughput, latency percentiles, pool hit rate and
   rejection counts accumulate in a
   :class:`~repro.service.metrics.MetricsCollector`.
+
+Every future the service hands out is settled through :func:`_resolve`,
+which skips a future its caller already cancelled: a worker never
+raises on a cancelled future, and a cancelled request never stalls the
+requests queued behind it.
 
 :class:`LockedEngineService` is the contrast class: the naive way to
 make the engine multi-client is one global lock around it. It shares the
@@ -86,6 +92,23 @@ def shed_low_priority(request: QueryRequest, monitor) -> RejectionReason | None:
     if request.priority < 0 and monitor.fast_burning():
         return RejectionReason.SHED
     return None
+
+
+def _resolve(future: "Future[QueryResponse]", outcome) -> None:
+    """Settle ``future`` with ``outcome`` unless its caller cancelled it.
+
+    ``outcome`` is a :class:`QueryResponse` or the exception the request
+    failed with. ``Future.cancel()`` succeeds on a request that is still
+    queued; setting a result on that future afterwards would raise
+    ``InvalidStateError`` in the worker (or in :meth:`close`), so every
+    resolution goes through this claim-then-set.
+    """
+    if not future.set_running_or_notify_cancel():
+        return
+    if isinstance(outcome, BaseException):
+        future.set_exception(outcome)
+    else:
+        future.set_result(outcome)
 
 
 @dataclass
@@ -139,9 +162,9 @@ class DurableTopKService:
     cache:
         Optional :class:`~repro.cache.SemanticAnswerCache`. Submits
         check it before admission (an exact hit answers without a queue
-        slot, session or execution) and batch leaders back-fill it; its
-        stats ride along in ``metrics.snapshot().extra["cache"]``.
-        Cross-batch single-flighting is always on — it needs no memory
+        slot, session or execution) and executed requests back-fill it;
+        its stats ride along in ``metrics.snapshot().extra["cache"]``.
+        Single-flighting is always on — it needs no memory
         budget and can never serve stale data (a joined flight executes
         in the future, not the past).
     """
@@ -220,7 +243,6 @@ class DurableTopKService:
         """
         self.metrics.record_submit()
         future: "Future[QueryResponse]" = Future()
-        key = request.key
         if self.cache is not None:
             start = time.perf_counter()
             cached = self.cache.get(request, self._version_of())
@@ -235,13 +257,14 @@ class DurableTopKService:
                     extra={"cache": "exact"},
                 )
                 self.metrics.record_response(response)
-                future.set_result(response)
+                _resolve(future, response)
                 return future
-        flight_key = (key, self._flight_signature(request))
+        query_key = request.query_key
         if self.inflight.join(
-            flight_key, _Pending(request, future, time.perf_counter())
+            query_key, _Pending(request, future, time.perf_counter())
         ):
             return future
+        key = query_key[0]  # the preference key batches and sessions group on
         monitor = self.metrics.slos
         if monitor is not None and self.degradation is not None:
             reason = self.degradation(request, monitor)
@@ -261,7 +284,7 @@ class DurableTopKService:
             # Now that the request holds a queue slot it becomes the
             # leader for its structure; identical submits from here on
             # ride its execution instead of queueing.
-            pending.flight = self.inflight.open(flight_key)
+            pending.flight = self.inflight.open(query_key)
             bucket.append(pending)
             if key not in self._active and len(bucket) == 1:
                 self._ready.append(key)
@@ -331,7 +354,7 @@ class DurableTopKService:
             priority=request.priority,
         )
         error = QueryRejected(reason, f"request rejected: {reason.value}")
-        future.set_result(QueryResponse(request=request, error=error))
+        _resolve(future, QueryResponse(request=request, error=error))
         return future
 
     def _take_batch(self) -> tuple[Hashable, list[_Pending]] | None:
@@ -388,7 +411,7 @@ class DurableTopKService:
             # futures — never the worker thread, which must keep serving.
             done = time.perf_counter()
             for item in batch:
-                item.future.set_exception(exc)
+                _resolve(item.future, exc)
                 self._settle_flight(item, exc, batch_size=len(batch), done=done)
             return
         self.metrics.record_batch(pool_hit)
@@ -396,17 +419,6 @@ class DurableTopKService:
             self._execute_batch(batch, session, pool_hit)
         finally:
             self.pool.checkin(key, session)
-
-    @staticmethod
-    def _flight_signature(request: QueryRequest) -> tuple:
-        """What makes two same-preference requests the *same* query."""
-        return (
-            request.k,
-            request.tau,
-            request.interval,
-            request.direction,
-            request.algorithm,
-        )
 
     def _settle_flight(
         self,
@@ -431,12 +443,13 @@ class DurableTopKService:
         item.flight = None
         if not followers:
             return
-        self.metrics.record_coalesced(len(followers), mode="inflight")
+        self.metrics.record_coalesced(len(followers))
         for follower in followers:
             waited = max(0.0, done - follower.enqueued)
             if isinstance(outcome, QueryRejected):
                 self.metrics.record_rejection(outcome.reason)
-                follower.future.set_result(
+                _resolve(
+                    follower.future,
                     QueryResponse(
                         request=follower.request,
                         error=outcome,
@@ -448,7 +461,7 @@ class DurableTopKService:
                     )
                 )
             elif isinstance(outcome, BaseException):
-                follower.future.set_exception(outcome)
+                _resolve(follower.future, outcome)
             else:
                 response = QueryResponse(
                     request=follower.request,
@@ -460,7 +473,7 @@ class DurableTopKService:
                     extra={"cache": "inflight"},
                 )
                 self.metrics.record_response(response)
-                follower.future.set_result(response)
+                _resolve(follower.future, response)
 
     def _execute_batch(
         self, batch: list[_Pending], session, pool_hit: bool
@@ -470,10 +483,11 @@ class DurableTopKService:
         The batch trace span opens *before* timeout filtering, so a
         request rejected for queue-wait timeout resolves inside the span
         and its ``service.reject`` log line carries this batch's trace
-        id. Survivors are single-flighted (identical queries execute
-        once, every waiter gets a copy of the one answer) and handed to
-        the backend as a whole batch, so one index traversal serves all
-        of them.
+        id. Survivors go to the backend as a whole batch, so one index
+        traversal serves all of them, and each answer back-fills the
+        cache. If the batched call fails as a whole, each request runs
+        again as a batch of one, so a bad request fails only its own
+        future (and its flight's followers).
         """
         batch_size = len(batch)
         # The batch trace roots at the earliest enqueue, so trace
@@ -511,7 +525,8 @@ class DurableTopKService:
                         RejectionReason.TIMEOUT,
                         f"queued {wait * 1e3:.1f} ms > timeout {timeout * 1e3:.1f} ms",
                     )
-                    item.future.set_result(
+                    _resolve(
+                        item.future,
                         QueryResponse(
                             request=item.request,
                             error=error,
@@ -519,7 +534,7 @@ class DurableTopKService:
                             total_seconds=wait,
                             batch_size=batch_size,
                             pool_hit=pool_hit,
-                        )
+                        ),
                     )
                     self._settle_flight(
                         item, error, batch_size=batch_size, done=now, pool_hit=pool_hit
@@ -527,7 +542,7 @@ class DurableTopKService:
                     continue
                 live.append((item, wait))
             if not live:
-                span.set(timed_out=batch_size, leaders=0, coalesced=0)
+                span.set(timed_out=batch_size)
                 return
             if len(live) < batch_size:
                 span.set(timed_out=batch_size - len(live))
@@ -538,52 +553,30 @@ class DurableTopKService:
                 wait_min=round(min(wait for _, wait in live), 6),
                 wait_max=round(max(wait for _, wait in live), 6),
             )
-            # Single-flight: identical in-flight queries collapse onto one
-            # execution slot; `source[i]` maps live item i to its leader.
-            flight_of: dict[tuple, int] = {}
-            leaders: list[_Pending] = []
-            source: list[int] = []
-            for item, _ in live:
-                signature = self._flight_signature(item.request)
-                slot = flight_of.get(signature)
-                if slot is None:
-                    slot = len(leaders)
-                    flight_of[signature] = slot
-                    leaders.append(item)
-                source.append(slot)
-            coalesced = len(live) - len(leaders)
-            if coalesced:
-                self.metrics.record_coalesced(coalesced, mode="batch")
-            span.set(leaders=len(leaders), coalesced=coalesced)
-
+            requests = [item.request for item, _ in live]
             try:
-                results: list = self.backend.execute_batch(
-                    session, [leader.request for leader in leaders]
-                )
+                results: list = self.backend.execute_batch(session, requests)
             except BaseException:
-                # The batched path failed as a whole; fall back to per-leader
-                # batches of one so a single bad request (e.g. a direction
-                # the backend rejects) fails only its own group's futures.
+                # The batched path failed as a whole; fall back to batches
+                # of one so a single bad request (e.g. a direction the
+                # backend rejects) fails only its own future.
                 results = []
-                for leader in leaders:
+                for request in requests:
                     try:
-                        results.append(
-                            self.backend.execute_batch(session, [leader.request])[0]
-                        )
+                        results.append(self.backend.execute_batch(session, [request])[0])
                     except BaseException as exc:
                         results.append(exc)
 
             done = time.perf_counter()
-            for (item, wait), slot in zip(live, source):
-                outcome = results[slot]
+            for (item, wait), outcome in zip(live, results):
                 if isinstance(outcome, BaseException):
-                    item.future.set_exception(outcome)
+                    _resolve(item.future, outcome)
                     self._settle_flight(
                         item, outcome,
                         batch_size=batch_size, done=done, pool_hit=pool_hit,
                     )
                     continue
-                if self.cache is not None and item is leaders[slot]:
+                if self.cache is not None:
                     # Fill at the epoch the answer was computed at (the
                     # live snapshot stamp when present): under ingest
                     # that epoch may already trail the current one, and
@@ -592,10 +585,9 @@ class DurableTopKService:
                     if version is None:
                         version = self._version_of()
                     self.cache.put(item.request, version, outcome)
-                result = outcome if item is leaders[slot] else clone_result(outcome)
                 response = QueryResponse(
                     request=item.request,
-                    result=result,
+                    result=outcome,
                     wait_seconds=wait,
                     service_seconds=done - now,
                     total_seconds=done - item.enqueued,
@@ -603,7 +595,7 @@ class DurableTopKService:
                     pool_hit=pool_hit,
                 )
                 self.metrics.record_response(response)
-                item.future.set_result(response)
+                _resolve(item.future, response)
                 self._settle_flight(
                     item, outcome, batch_size=batch_size, done=done, pool_hit=pool_hit
                 )

@@ -16,7 +16,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.cache import InFlightRegistry, SemanticAnswerCache, WindowMemo
+from repro.cache import InFlightRegistry, SemanticAnswerCache
 from repro.core.engine import DurableTopKEngine
 from repro.core.query import DurableTopKResult
 from repro.ingest import LiveDataset
@@ -32,105 +32,6 @@ from repro.service import (
     WorkloadGenerator,
     WorkloadSpec,
 )
-
-
-# ----------------------------------------------------------------------
-# WindowMemo: the seeded tier
-# ----------------------------------------------------------------------
-class FakeIndex:
-    """Scores == ids; counts every call so memo hits are observable."""
-
-    def __init__(self, n: int = 100) -> None:
-        self._n = n
-        self.topk_calls = 0
-        self.top1_calls = 0
-        self.batch_calls = 0
-
-    @property
-    def n(self) -> int:
-        return self._n
-
-    def score(self, record_id: int) -> float:
-        return float(record_id)
-
-    def top1(self, lo: int, hi: int) -> int | None:
-        self.top1_calls += 1
-        hi = min(hi, self._n - 1)
-        return hi if hi >= lo else None
-
-    def topk(self, k: int, lo: int, hi: int) -> list[int]:
-        self.topk_calls += 1
-        hi = min(hi, self._n - 1)
-        return list(range(hi, max(lo, hi - k + 1) - 1, -1))
-
-    def topk_batch(self, k: int, windows) -> list[list[int]]:
-        self.batch_calls += 1
-        return [self.topk(k, lo, hi) for lo, hi in windows]
-
-
-class TestWindowMemo:
-    def test_memoises_and_delegates(self):
-        inner = FakeIndex()
-        memo = WindowMemo().bind(inner, version=0)
-        assert memo.n == inner.n
-        assert memo.score(7) == 7.0
-        first = memo.topk(3, 10, 20)
-        again = memo.topk(3, 10, 20)
-        assert first == again == inner.topk(3, 10, 20)
-        assert inner.topk_calls == 2  # one memoised call + the direct call
-        assert memo.top1(0, 50) == memo.top1(0, 50) == 50
-        assert inner.top1_calls == 1
-        assert memo.hits == 2
-
-    def test_rebind_same_version_seeds_across_batches(self):
-        inner = FakeIndex()
-        memo = WindowMemo().bind(inner, version=5)
-        memo.topk(3, 10, 20)
-        assert memo.seeds == 0
-        memo.bind(inner, version=5)  # next batch, same epoch
-        memo.topk(3, 10, 20)  # cross-batch reuse: a seed
-        memo.topk(3, 10, 20)  # same batch again: a plain hit
-        assert memo.seeds == 1
-        assert memo.hits == 2
-        assert inner.topk_calls == 1
-
-    def test_rebind_new_version_invalidates_everything(self):
-        inner = FakeIndex()
-        memo = WindowMemo().bind(inner, version=1)
-        memo.topk(3, 10, 20)
-        memo.top1(0, 50)
-        assert memo.entries == 2
-        memo.bind(FakeIndex(), version=2)
-        assert memo.entries == 0
-        assert memo.invalidations == 1
-        memo.topk(3, 10, 20)
-        assert memo.seeds == 0  # nothing survives an epoch change
-
-    def test_clear_empties_but_keeps_binding(self):
-        inner = FakeIndex()
-        memo = WindowMemo().bind(inner, version=3)
-        memo.topk(2, 0, 10)
-        memo.clear()
-        assert memo.entries == 0
-        assert memo.topk(2, 0, 10) == inner.topk(2, 0, 10)  # still usable
-
-    def test_lru_bound(self):
-        memo = WindowMemo(max_entries=4).bind(FakeIndex(), version=0)
-        for lo in range(6):
-            memo.topk(2, lo, lo + 10)
-        assert len(memo._topk) == 4
-        assert memo.evictions == 2
-
-    def test_prime_skips_memoised_windows(self):
-        inner = FakeIndex()
-        memo = WindowMemo().bind(inner, version=0)
-        direct = memo.topk(3, 10, 20)
-        calls_before = inner.topk_calls
-        memo.prime(3, [(10, 20), (30, 40)])
-        assert inner.batch_calls == 1
-        assert inner.topk_calls == calls_before + 1  # only the fresh window
-        assert memo.topk(3, 10, 20) == direct
-        assert memo.topk(3, 30, 40) == inner.topk(3, 30, 40)
 
 
 # ----------------------------------------------------------------------
@@ -306,8 +207,7 @@ class TestServiceIntegration:
             assert response.ok
             assert response.result.ids == outcomes[0].result.ids
         assert all(r.extra.get("cache") == "inflight" for r in outcomes[1:])
-        assert snapshot.coalesced_inflight == 3
-        assert snapshot.coalesced == snapshot.coalesced_batch + 3
+        assert snapshot.coalesced == 3
 
     def test_followers_inherit_the_leaders_timeout(self, small_ind, linear_2d):
         """A follower's fate is the leader's: here, a TIMEOUT rejection.
@@ -501,13 +401,11 @@ class TestPoolSizing:
 
 class TestCoalescedAccountingSplit:
     def test_modes_are_counted_separately(self):
+        """Flight joins are the one coalescing mode: each is counted once,
+        in the snapshot, its dict and its report."""
         collector = MetricsCollector(registry=MetricsRegistry())
-        collector.record_coalesced(2, mode="batch")
-        collector.record_coalesced(3, mode="inflight")
+        collector.record_coalesced(3)
         snapshot = collector.snapshot()
-        assert snapshot.coalesced_batch == 2
-        assert snapshot.coalesced_inflight == 3
-        assert snapshot.coalesced == 5
-        assert snapshot.as_dict()["coalesced_batch"] == 2
-        assert snapshot.as_dict()["coalesced_inflight"] == 3
-        assert "5 coalesced (2 batch, 3 in-flight)" in snapshot.report()
+        assert snapshot.coalesced == 3
+        assert snapshot.as_dict()["coalesced"] == 3
+        assert "3 coalesced (flight joins)" in snapshot.report()

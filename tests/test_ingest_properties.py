@@ -111,18 +111,14 @@ def test_lazy_stitching_matches_offline_rebuild(seed):
     Each round appends a few segments' worth of rows, then poses a batch
     of look-back and look-ahead queries — windows anchored at the tail,
     deep in old segments, and straddling part boundaries — through
-    ``query``, ``query_batch`` and ``query_batch`` with persistent
-    window memos; every answer, duration and probe count must equal the
-    frozen engine's. Fresh stitched indexes per call mean each path
-    resolves its own subset of parts.
+    ``query`` and ``query_batch``; every answer, duration and probe
+    count must equal the frozen engine's. Fresh stitched indexes per
+    call mean each path resolves its own subset of parts.
     """
-    from repro.cache.windows import WindowMemo
-
     rng = np.random.default_rng(seed)
     scorer = LinearPreference(np.abs(rng.normal(size=2)) + 0.1)
     live = LiveDataset(d=2, seal_rows=10_000, compact_fanout=3)
     pool = rng.random((12, 2)).round(1)  # ties across part boundaries
-    memos = (WindowMemo(), WindowMemo())
     for _ in range(6):
         for _ in range(int(rng.integers(1, 4))):
             live.extend(pool[rng.integers(0, len(pool), size=int(rng.integers(20, 90)))])
@@ -154,14 +150,7 @@ def test_lazy_stitching_matches_offline_rebuild(seed):
             for q, a in zip(queries, algorithms)
         ]
         batched = live.query_batch(queries, scorer, algorithms, True, snap)
-        memoised = [  # the second batch is seeded by the first's windows
-            live.query_batch(
-                queries, scorer, algorithms, True, snap,
-                window_memo=memos[0], window_memo_reverse=memos[1],
-            )
-            for _ in range(2)
-        ]
-        for got_set in (serial, batched, *memoised):
+        for got_set in (serial, batched):
             for got, ref in zip(got_set, want):
                 assert got.ids == ref.ids, (n, got.query)
                 assert got.durations == ref.durations, (n, got.query)

@@ -248,10 +248,10 @@ class TestAdmissionControl:
     def test_single_flight_coalesces_identical_queries(self, small_ind, linear_2d):
         """Identical in-flight queries execute once; every waiter answers.
 
-        A blocker stalls the lone worker so six byte-identical requests
-        pile into one batch behind it; single-flight must hand all six
-        the one answer (as independent result objects) while the backend
-        sees exactly one query per execute_batch call."""
+        A blocker stalls the lone worker, and six requests identical to
+        it join its open flight; single-flight must hand all six the one
+        answer (as independent result objects) while the backend sees
+        exactly one query per execute_batch call."""
         backend = EngineBackend(DurableTopKEngine(small_ind))
         service = DurableTopKService(backend, workers=1, max_batch=16)
         gate = threading.Event()
@@ -290,7 +290,7 @@ class TestAdmissionControl:
         A blocker stalls the lone worker so several look-back requests
         and one look-ahead request (which the MiniDB procedures reject)
         land in one same-preference pickup. The batched call fails as a
-        whole; the per-leader fallback then runs each request as a batch
+        whole; the fallback then runs each request as a batch
         of one. Only the look-ahead future fails, and every other answer
         equals the same request served alone: ids, stats and pages."""
         past = [
@@ -349,6 +349,80 @@ class TestAdmissionControl:
                 bad.result(timeout=10)
             good = service.query(self._request(linear_2d))
             assert good.ok
+
+    @staticmethod
+    def _held_backend(dataset):
+        """An engine backend whose executions wait for ``gate``;
+        ``executing`` is set once a worker is inside one."""
+        backend = EngineBackend(DurableTopKEngine(dataset))
+        gate, executing = threading.Event(), threading.Event()
+        original_execute_batch = backend.execute_batch
+
+        def held_execute_batch(session, requests):
+            executing.set()
+            gate.wait(timeout=10)
+            return original_execute_batch(session, requests)
+
+        backend.execute_batch = held_execute_batch
+        return backend, gate, executing
+
+    def test_cancelled_leader_keeps_the_worker_and_answers_its_follower(
+        self, small_ind, linear_2d
+    ):
+        """Regression: ``Future.cancel()`` succeeds on a queued request,
+        and resolving that future afterwards raised ``InvalidStateError``
+        in the worker, which killed it. The lone worker must survive to
+        answer later requests, and a follower that joined the cancelled
+        request's flight must still get its answer."""
+        backend, gate, executing = self._held_backend(small_ind)
+        service = DurableTopKService(backend, workers=1)
+        try:
+            blocker = service.submit(self._request(linear_2d))
+            assert executing.wait(timeout=10)  # the lone worker is held
+            request = QueryRequest(scorer=linear_2d, k=3, tau=21, algorithm="t-hop")
+            leader = service.submit(request)
+            follower = service.submit(request)  # joins the queued leader's flight
+            assert leader.cancel()
+            gate.set()
+            assert blocker.result(timeout=10).ok
+            joined = follower.result(timeout=10)
+            later = service.query(
+                QueryRequest(scorer=linear_2d, k=3, tau=22, algorithm="t-hop")
+            )
+        finally:
+            gate.set()
+            service.close(timeout=10)
+        assert leader.cancelled()
+        assert joined.ok and joined.extra["cache"] == "inflight"
+        alone = durable_topk(small_ind, linear_2d, k=3, tau=21, algorithm="t-hop")
+        assert joined.result.ids == alone.ids
+        assert later.ok
+        assert all(not thread.is_alive() for thread in service._workers)
+
+    def test_close_skips_a_cancelled_queued_request(self, small_ind, linear_2d):
+        """``close()`` rejects what is still queued; a request whose caller
+        cancelled it is skipped instead of raising out of ``close()``."""
+        backend, gate, executing = self._held_backend(small_ind)
+        service = DurableTopKService(backend, workers=1)
+        try:
+            blocker = service.submit(self._request(linear_2d))
+            assert executing.wait(timeout=10)
+            cancelled = service.submit(
+                QueryRequest(scorer=linear_2d, k=3, tau=21, algorithm="t-hop")
+            )
+            leftover = service.submit(
+                QueryRequest(scorer=linear_2d, k=3, tau=22, algorithm="t-hop")
+            )
+            assert cancelled.cancel()
+            service.close(timeout=0.05)  # the worker is held: both stay queued
+        finally:
+            gate.set()
+            for thread in service._workers:
+                thread.join(timeout=10)
+        assert not any(thread.is_alive() for thread in service._workers)
+        assert cancelled.cancelled()
+        assert leftover.result(timeout=10).error.reason is RejectionReason.SHUTDOWN
+        assert blocker.result(timeout=10).ok
 
     def test_shutdown_rejects_new_submits(self, small_ind, linear_2d):
         service = DurableTopKService(

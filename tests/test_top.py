@@ -125,6 +125,20 @@ class TestDashboardFrame:
         assert "rejected    0.0/s" in frame
         assert "in/out    0.0/   0.0 KiB/s" in frame
 
+    def test_cache_row_rates_flight_joins(self):
+        clock = FakeClock(20.0)
+        dashboard, collector, registry = make_dashboard(clock=clock)
+        assert "cache " not in dashboard.frame()  # no lookups yet: no row
+        registry.counter("cache.lookups", tier="exact").inc(3)
+        registry.counter("cache.lookups", tier="miss").inc(1)
+        collector.record_coalesced(6)
+        clock.t = 22.0  # 6 joins over 2 s -> 3.0/s
+        frame = dashboard.frame()
+        assert "cache      hit  75.0% (3/4)" in frame
+        assert "joins    3.0/s" in frame
+        clock.t = 24.0  # no new joins -> the rate falls back to 0
+        assert "joins    0.0/s" in dashboard.frame()
+
     def test_slo_rows_render_burning_state(self):
         clock = FakeClock(100.0)
         dashboard, collector, _ = make_dashboard(clock=clock, slos=True)
