@@ -8,7 +8,8 @@ counts, seals/compactions, pool evictions) and the
 Prometheus export reads, rendered for a terminal instead of a scraper.
 
 Counter *rates* (WAL fsyncs/s, seals/s) are frame-over-frame deltas, so
-the :class:`Dashboard` keeps the previous readings; everything else is
+the :class:`Dashboard` keeps the previous readings, taken first when it
+is built (the first frame reports rates since then); everything else is
 point-in-time. :func:`Dashboard.frame` is a pure string — the render
 smoke test and the non-tty ``--once`` mode print it without touching
 the terminal, while the live loop repaints it with an ANSI home+clear.
@@ -65,7 +66,7 @@ class Dashboard:
         self._clock = clock
         self._started = clock()
         self._last_time = self._started
-        self._last_counts: dict[str, float] = {}
+        self._last_counts = self._counter_totals(collector.snapshot())
 
     def _counter_total(self, prefix: str) -> float:
         return sum(
@@ -77,10 +78,24 @@ class Dashboard:
             series.value for series in self.registry.collect(kind="gauge", prefix=prefix)
         )
 
-    def _rate(self, name: str, total: float, dt: float) -> float:
-        prev = self._last_counts.get(name, total)
-        self._last_counts[name] = total
-        return (total - prev) / dt if dt > 0 else 0.0
+    def _counter_totals(self, snap) -> dict[str, float]:
+        """Every counter the frame reports a rate for, at its current total."""
+        gw_ok = gw_rejected = 0.0
+        for series in self.registry.collect(kind="counter", prefix="gateway.requests"):
+            if dict(series.labels).get("outcome") == "ok":
+                gw_ok += series.value
+            else:
+                gw_rejected += series.value
+        return {
+            "service.completed": float(snap.completed),
+            "service.coalesced": float(snap.coalesced),
+            "wal.fsyncs": self._counter_total("wal.fsyncs"),
+            "ingest.seals": self._counter_total("ingest.seals"),
+            "gateway.ok": gw_ok,
+            "gateway.rejected": gw_rejected,
+            "gateway.bytes_in": self._counter_total("gateway.bytes_in"),
+            "gateway.bytes_out": self._counter_total("gateway.bytes_out"),
+        }
 
     def frame(self, width: int = 78) -> str:
         """One dashboard frame as plain text (no cursor control)."""
@@ -92,9 +107,15 @@ class Dashboard:
         # Frame-over-frame, not the collector's lifetime average: the
         # lifetime figure decays instead of dropping when traffic stops,
         # so an idle system would keep showing the previous load forever.
-        req_rate = self._rate("service.completed", float(snap.completed), dt)
-        wal_rate = self._rate("wal.fsyncs", self._counter_total("wal.fsyncs"), dt)
-        seal_rate = self._rate("ingest.seals", self._counter_total("ingest.seals"), dt)
+        # Every rate is taken every frame, rendered or not: otherwise the
+        # frame a row first appears would report a delta accumulated over
+        # many frames as if it happened in one.
+        totals = self._counter_totals(snap)
+        rate = {
+            name: (total - self._last_counts[name]) / dt if dt > 0 else 0.0
+            for name, total in totals.items()
+        }
+        self._last_counts = totals
         segments = self._gauge_total("ingest.segments")
         compactions = self._counter_total("ingest.compactions")
         evictions = self._counter_total("service.pool.evictions")
@@ -105,7 +126,7 @@ class Dashboard:
             f"{title}{' ' * max(1, width - len(title) - len(uptime))}{uptime}",
             "─" * width,
             f"requests   {snap.completed} ok / {snap.rejected_total} rejected"
-            f"   throughput {req_rate:8.1f} req/s"
+            f"   throughput {rate['service.completed']:8.1f} req/s"
             f"   queued wait p95 {snap.wait_p95 * 1e3:6.2f} ms",
             f"latency ms p50 {snap.latency_p50 * 1e3:7.2f}"
             f"   p95 {snap.latency_p95 * 1e3:7.2f}"
@@ -120,40 +141,25 @@ class Dashboard:
             tier = dict(series.labels).get("tier", "?")
             tiers[tier] = tiers.get(tier, 0.0) + series.value
         lookups = sum(tiers.values())
-        # Rate bookkeeping runs every frame, rendered or not: otherwise
-        # the frame a row first appears would report a delta accumulated
-        # over many frames as if it happened in one.
-        join_rate = self._rate("service.coalesced", snap.coalesced, dt)
         if lookups:
             hits = tiers.get("exact", 0.0)
             resident = self._gauge_total("cache.bytes")
             lines.append(
                 f"cache      hit {hits / lookups:6.1%} ({hits:.0f}/{lookups:.0f})"
-                f"   joins {join_rate:6.1f}/s"
+                f"   joins {rate['service.coalesced']:6.1f}/s"
                 f"   resident {resident / 1024:7.1f} KiB"
             )
-        gw_ok = gw_rejected = 0.0
-        for series in self.registry.collect(kind="counter", prefix="gateway.requests"):
-            if dict(series.labels).get("outcome") == "ok":
-                gw_ok += series.value
-            else:
-                gw_rejected += series.value
-        gw_conns_total = self._counter_total("gateway.connections_total")
-        gw_ok_rate = self._rate("gateway.ok", gw_ok, dt)
-        gw_rejected_rate = self._rate("gateway.rejected", gw_rejected, dt)
-        gw_in_rate = self._rate("gateway.bytes_in", self._counter_total("gateway.bytes_in"), dt)
-        gw_out_rate = self._rate(
-            "gateway.bytes_out", self._counter_total("gateway.bytes_out"), dt
-        )
-        if gw_conns_total:
+        if self._counter_total("gateway.connections_total"):
             lines.append(
                 f"gateway    conns {self._gauge_total('gateway.connections'):.0f}"
-                f"   ok {gw_ok_rate:6.1f}/s   rejected {gw_rejected_rate:6.1f}/s"
-                f"   in/out {gw_in_rate / 1024:6.1f}/{gw_out_rate / 1024:6.1f} KiB/s"
+                f"   ok {rate['gateway.ok']:6.1f}/s"
+                f"   rejected {rate['gateway.rejected']:6.1f}/s"
+                f"   in/out {rate['gateway.bytes_in'] / 1024:6.1f}"
+                f"/{rate['gateway.bytes_out'] / 1024:6.1f} KiB/s"
             )
         lines.append(
-            f"ingest     segments {segments:.0f}   seals {seal_rate:6.1f}/s"
-            f"   compactions {compactions:.0f}   wal fsync {wal_rate:6.1f}/s"
+            f"ingest     segments {segments:.0f}   seals {rate['ingest.seals']:6.1f}/s"
+            f"   compactions {compactions:.0f}   wal fsync {rate['wal.fsyncs']:6.1f}/s"
         )
         for name, status in sorted(snap.slo.items()):
             state = "BURNING" if status["burning"] else "ok     "
@@ -280,10 +286,12 @@ def run_top(
                 threading.Thread(target=writer, args=(w,), name=f"top-writer-{w}")
                 for w in range(writers)
             ]
+            # Built before the traffic starts, so a --once frame reports
+            # its rates over the whole settle interval.
+            dashboard = Dashboard(collector)
             for thread in threads:
                 thread.start()
 
-            dashboard = Dashboard(collector)
             frame = ""
             try:
                 deadline = time.perf_counter() + (interval if once else duration)

@@ -84,6 +84,11 @@ class ScoreArrayTopKIndex:
         return len(self._scores)
 
     @property
+    def scores(self) -> np.ndarray:
+        """The read-only score array, indexed by record id."""
+        return self._scores
+
+    @property
     def blocks_built(self) -> int:
         """Segment-tree blocks a descent has built so far (0 while no call
         has descended; see :class:`~repro.index.segment_tree.MaxSegmentTree`)."""

@@ -199,21 +199,49 @@ def window_topk(scores: np.ndarray, k: int, lo: int, hi: int) -> list[int]:
     rule: one ``np.partition`` over ``scores[lo:hi + 1]`` finds the k-th
     largest score, and the answer is every strictly-greater cell plus
     the *rightmost* cells tied with it, at most ``k`` in all, put in the
-    canonical order (descending score, later arrival wins ties). However
-    widely the k-th score is tied, only ``k`` cells are sorted. The
-    caller clamps; ``k >= 1`` and ``lo <= hi`` are assumed. ``O(width)``,
-    all in C.
+    canonical order (descending score, later arrival wins ties). One
+    ``window >= threshold`` pass finds the cells at or above the k-th
+    score; only when more than ``k`` of them tie at it does
+    :func:`_keep_rightmost_ties` drop the leftmost ties. However widely
+    the k-th score is tied, only ``k`` cells are sorted. The caller
+    clamps; ``k >= 1`` and ``lo <= hi`` are assumed. ``O(width)``, all
+    in C.
     """
     window = scores[lo : hi + 1]
     width = len(window)
     if k < width:
-        threshold = np.partition(window, width - k)[width - k]
-        greater = np.flatnonzero(window > threshold)
-        ties = np.flatnonzero(window == threshold)
-        chosen = np.concatenate((greater, ties[len(ties) - (k - len(greater)) :]))
+        top = np.partition(window, width - k)[width - k :]
+        threshold = top[0]
+        chosen = np.flatnonzero(window >= threshold)
+        if len(chosen) > k:
+            greater = np.count_nonzero(top > threshold)
+            chosen = _keep_rightmost_ties(window, chosen, threshold, k, greater)
     else:
         chosen = np.arange(width)
     return _best_first(chosen + lo, window[chosen], k)
+
+
+def _keep_rightmost_ties(
+    window: np.ndarray, at_least: np.ndarray, threshold: float, k: int, greater: int
+) -> np.ndarray:
+    """The ``k`` cells of ``window`` :func:`window_topk` answers with.
+
+    ``at_least`` holds the ascending positions of the cells ``>=
+    threshold``, more than ``k`` of them; ``greater`` of those (at most
+    ``k - 1``, counted from the partition's top ``k``) are strictly
+    above it. The answer keeps those and the rightmost ``k - greater``
+    ties. Those ties all lie in the last ``k`` positions of
+    ``at_least``, so when those ``k`` positions also hold every greater
+    cell they are the answer, found in ``O(k)``. Otherwise some greater
+    cell lies further left, and one more ``window > threshold`` pass
+    finds the greater cells, as a two-pass kernel would.
+    """
+    last = at_least[-k:]
+    above = window[last] > threshold
+    if np.count_nonzero(above) == greater:
+        return last
+    ties = last[~above][-(k - greater) :]
+    return np.concatenate((np.flatnonzero(window > threshold), ties))
 
 
 def _best_first(ids: np.ndarray, values: np.ndarray, k: int) -> list[int]:

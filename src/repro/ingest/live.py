@@ -41,6 +41,7 @@ from repro.core.batch import BatchPlan, clone_result, plan_index
 from repro.core.durability import attach_max_durations
 from repro.core.query import Direction, DurableTopKQuery, DurableTopKResult, QueryStats
 from repro.core.record import Dataset
+from repro.index import range_topk
 from repro.index.topk import CountingTopKIndex
 from repro.ingest.segments import Segment, SegmentedTopKIndex, TailBuffer, score_index
 from repro.obs import add_span, global_registry, trace_span, tracing_active
@@ -449,11 +450,22 @@ class LiveDataset:
 
         The query probes ``probe`` — ``stitched`` itself or the batch
         memo :meth:`query_batch` wraps around it — and charges its stats
-        through its own counting wrapper. ``reverse`` marks a mirrored
-        look-ahead query running over the reversed ``stitched`` block
-        (the span then carries ``direction="future"``); :meth:`query_batch`
-        maps its answer back. The span's ``parts_resolved`` counts the
-        parts of ``stitched`` whose index has been fetched so far.
+        through its own counting wrapper. A query that runs straight over
+        ``stitched`` and whose every probe would scan (a durability
+        window is ``tau + 1`` rows) instead probes one score-array block
+        over the only rows its windows read, ``[lo - tau, hi]``
+        (:meth:`SegmentedTopKIndex.window`): each probe then scans a
+        slice of one array rather than passing through the stitched
+        block's per-part dispatch, and the answer is shifted back to
+        global ids. Durations still probe ``probe``, charged to the same
+        stats, because their search looks back past ``tau``. ``reverse``
+        marks a mirrored look-ahead query running over the reversed
+        ``stitched`` block (the span then carries
+        ``direction="future"``); :meth:`query_batch` maps its answer
+        back. The span's ``parts_resolved`` counts the parts of
+        ``stitched`` whose index has been fetched so far, and
+        ``window_rows`` the rows of the window block (0 when ``probe``
+        answered).
         """
         n = snap.n
         lo, hi = query.resolve_interval(n)
@@ -469,23 +481,31 @@ class LiveDataset:
             tail_rows=len(snap.tail_values),
         ) as span:
             start = time.perf_counter()
-            index = CountingTopKIndex(probe, stats, timed=tracing_active())
+            offset = 0
+            block = probe
+            if probe is stitched and range_topk.COST_MODEL.scans(query.tau + 1, query.k):
+                offset = max(lo - query.tau, 0)
+                block = stitched.window(offset, hi)
+            index = CountingTopKIndex(block, stats, timed=tracing_active())
             ctx = AlgorithmContext(
                 dataset=_SnapshotView(snap),  # type: ignore[arg-type]
                 index=index,
                 scorer=scorer,
                 k=query.k,
                 tau=query.tau,
-                lo=lo,
-                hi=hi,
+                lo=lo - offset,
+                hi=hi - offset,
                 stats=stats,
             )
             ids = algo.run(ctx)
+            if offset:
+                ids = [t + offset for t in ids]
             elapsed = time.perf_counter() - start
             span.set(
                 answers=len(ids),
                 topk_queries=stats.topk_queries,
                 parts_resolved=stitched.parts_resolved,
+                window_rows=0 if block is probe else block.n,
             )
             if index.timed and index.calls:
                 add_span(
@@ -504,7 +524,9 @@ class LiveDataset:
             extra={"snapshot_n": n, "snapshot_version": snap.version},
         )
         if with_durations:
-            attach_max_durations(result, index)
+            attach_max_durations(
+                result, index if block is probe else CountingTopKIndex(probe, stats)
+            )
         return result
 
     def query_batch(
@@ -560,8 +582,10 @@ class LiveDataset:
             ]
             if not group:
                 continue
-            stitched = snap.stitched_index(scorer, reverse=reverse)
+            # The plan resolves every interval first, so an empty
+            # snapshot raises "dataset is empty" in both directions.
             plan = BatchPlan(group, n)
+            stitched = snap.stitched_index(scorer, reverse=reverse)
             probe = plan_index(plan, stitched)
             for entry in plan.unique:
                 result = self._query_past(

@@ -282,6 +282,21 @@ class SegmentedTopKIndex:
         candidates.sort(reverse=True)
         return [gid for _, gid in candidates[:k]]
 
+    def window(self, lo: int, hi: int) -> ScoreArrayTopKIndex:
+        """One score-array block over global rows ``[lo, hi]`` (in bounds).
+
+        The block is in the window's coordinates: its id ``i`` is global
+        row ``lo + i``. Inside one part it adopts a view of that part's
+        scores, so nothing is copied; a range that straddles parts gets
+        one concatenation of the touched parts' score slices. Only the
+        touched parts are resolved.
+        """
+        slices = []
+        for p in range(self._part_of(lo), self._part_of(hi) + 1):
+            base = self._bases[p]
+            slices.append(self._part(p).scores[max(lo - base, 0) : hi - base + 1])
+        return ScoreArrayTopKIndex.adopt(slices[0] if len(slices) == 1 else np.concatenate(slices))
+
     def topk_batch(self, k: int, windows) -> list[list[int]]:
         """Answer many ``topk`` windows, batching per-part answers.
 

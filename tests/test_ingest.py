@@ -264,6 +264,15 @@ class TestLiveDatasetEquivalence:
         assert got.ids == brute_force_durable_topk(scores, 1, 0, 5, 2)
         assert live.extend([[0.2, 0.3]]) == 8 and live.n == 9
 
+    @pytest.mark.parametrize("direction", [Direction.PAST, Direction.FUTURE])
+    def test_empty_dataset_query_raises_dataset_is_empty(self, scorer, direction):
+        live = LiveDataset(d=2)
+        query = DurableTopKQuery(k=2, tau=5, direction=direction)
+        with pytest.raises(ValueError, match="dataset is empty"):
+            live.query(query, scorer)
+        with pytest.raises(ValueError, match="dataset is empty"):
+            DurableTopKEngine(live.freeze()).query(query, scorer, algorithm="t-hop")
+
     def test_background_maintenance_seals_and_stays_exact(self, scorer):
         rng = np.random.default_rng(12)
         with LiveDataset(d=2, seal_rows=64, compact_fanout=3) as live:
@@ -355,6 +364,26 @@ class TestLiveServiceBackend:
             expected = brute_force_durable_topk(scores[:n_snap], 2, 0, 1_500, 100)
             assert response.result.ids == expected
             assert response.result.extra["staleness_rows"] >= 0
+
+
+    @pytest.mark.parametrize("direction", [Direction.PAST, Direction.FUTURE])
+    def test_empty_dataset_fails_the_request_and_the_worker_keeps_serving(
+        self, scorer, direction
+    ):
+        live = LiveDataset(d=2)
+        request = QueryRequest(
+            scorer=scorer, k=2, tau=5, direction=direction, algorithm="t-hop"
+        )
+        with DurableTopKService(LiveBackend(live), workers=1) as service:
+            with pytest.raises(ValueError, match="dataset is empty"):
+                service.submit(request).result()
+            rows = np.random.default_rng(14).random((40, 2))
+            live.extend(rows)
+            response = service.submit(request).result()
+        assert response.ok
+        query = request.as_query()
+        want = DurableTopKEngine(Dataset(rows)).query(query, scorer, algorithm="t-hop")
+        assert response.result.ids == want.ids
 
 
 class TestLiveMiniDB:

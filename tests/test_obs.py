@@ -194,6 +194,24 @@ class TestLayerSpans:
         # Tail-anchored: the tail, plus the last segment its windows reach.
         assert [span.attrs["parts_resolved"] for span in spans] == [2, 4]
 
+    def test_live_snapshot_span_reports_window_rows(self):
+        live = LiveDataset(d=2)
+        live.extend(np.random.default_rng(7).random((200, 2)))
+        live.seal()
+        live.extend(np.random.default_rng(8).random((20, 2)))
+        scorer = LinearPreference([0.5, 0.5])
+        windowed = DurableTopKQuery(k=2, tau=10, interval=(150, 219))
+        enable()
+        live.query(windowed, scorer)  # rows [140, 219] in one window block
+        live.query(DurableTopKQuery(k=1, tau=10, interval=(150, 219)), scorer)  # k = 1 descends
+        live.query_batch([windowed, DurableTopKQuery(k=3, tau=5)], scorer)  # batch memo
+        disable()
+        rows = sorted(
+            span.attrs["window_rows"] for trace in TRACES.slowest() for span in trace.spans
+            if span.name == "ingest.snapshot"
+        )
+        assert rows == [0, 0, 0, 80]
+
     def test_minidb_span_reports_page_counts(self):
         rng = np.random.default_rng(11)
         db = MiniDB(Dataset(rng.random((1200, 2)), name="obs-test"), buffer_pages=16)

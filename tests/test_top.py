@@ -10,6 +10,7 @@ rates, per-SLO burn rows, and the slowest-trace one-liner. The CLI
 from __future__ import annotations
 
 import io
+import re
 
 import pytest
 
@@ -103,6 +104,19 @@ class TestDashboardFrame:
         # ... even though the lifetime average is still positive.
         assert collector.snapshot().throughput > 0.0
 
+    def test_first_frame_reports_rates_since_the_dashboard_was_built(self):
+        # `repro top --once` renders only this frame: anchoring the
+        # counters on it instead would show 0.0 however much was served.
+        clock = FakeClock(30.0)
+        dashboard, collector, registry = make_dashboard(clock=clock)
+        for _ in range(8):
+            collector.record_response(response(0.005))
+        registry.counter("ingest.seals").inc(2)
+        clock.t = 32.0  # 8 completions and 2 seals over 2 s
+        frame = dashboard.frame()
+        assert "throughput      4.0 req/s" in frame
+        assert "seals    1.0/s" in frame
+
     def test_gateway_row_rates_and_idle_reset(self):
         clock = FakeClock(50.0)
         dashboard, _, registry = make_dashboard(clock=clock)
@@ -180,6 +194,12 @@ class TestTopCLI:
         assert "slo        latency" in frame
         assert "ingest     segments" in frame
         assert "\x1b" not in buf.getvalue()  # --once never emits ANSI
+        # The one frame's rates cover the settle interval, and traffic
+        # starts after the dashboard is built: requests served in it show
+        # as throughput, not as 0.0.
+        served = int(re.search(r"requests\s+(\d+) ok", frame).group(1))
+        throughput = float(re.search(r"throughput\s+([\d.]+) req/s", frame).group(1))
+        assert (served > 0) == (throughput > 0)
 
     def test_cli_top_once(self, capsys):
         assert main(["top", "--once", "--interval", "0.2"]) == 0
