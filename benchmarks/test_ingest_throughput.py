@@ -6,8 +6,7 @@ clients query the session-pooled service over the LiveBackend):
 
 * the pipeline sustains >= 10k appends/second *while serving*;
 * concurrent queries pay at most 2x the static-dataset service p95
-  (the baseline round is measured in the same process, mirroring the
-  static service numbers in ``results/service_throughput.txt``);
+  (the baseline round is measured in the same process);
 * p95 query staleness — rows landing between a query's snapshot and its
   completion — stays under one second of ingest;
 * zero rejected responses, and every sampled response re-derives

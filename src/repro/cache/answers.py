@@ -19,9 +19,12 @@ Three properties the design pins down:
 * **Staleness is impossible by construction.** The version is part of
   the key: lookups use the backend's *current* dataset/snapshot version,
   fills use the version the answer was actually computed at (the live
-  backend's ``snapshot_version`` stamp). Ingest therefore invalidates
-  by epoch — an old entry simply stops matching and rots out of the
-  LRU — never by scanning.
+  backend's ``snapshot_version`` stamp). Versions only grow and a
+  lookup always asks for the newest, so an entry of an older epoch can
+  never match again: the first fill at a newer epoch drops every entry
+  at once, and a fill computed at an older epoch than the newest seen
+  is refused. Ingest therefore invalidates by epoch, never by scanning,
+  and the cache only ever holds answers of one epoch.
 * **Memory is bounded in bytes, with a Lemma-4 admission estimate.**
   The cache holds at most ``capacity_bytes`` of estimated answer
   payload; at admission a query with a known interval is sized by the
@@ -108,6 +111,9 @@ class SemanticAnswerCache:
         self.registry = registry if registry is not None else global_registry()
         self._lock = threading.Lock()
         self._entries: "OrderedDict[Hashable, _Entry]" = OrderedDict()
+        # The newest epoch any admitted fill was computed at; every
+        # resident entry belongs to it.
+        self._version: int | None = None
         self.bytes = 0
         self.hits = 0
         self.misses = 0
@@ -117,7 +123,7 @@ class SemanticAnswerCache:
 
     # ------------------------------------------------------------------
     @staticmethod
-    def _key(request, version: object) -> Hashable:
+    def _key(request, version: int) -> Hashable:
         """The structural identity of one request at one epoch: the
         request's :attr:`~repro.service.request.QueryRequest.query_key`
         (the same key the service single-flights on) pinned to
@@ -134,7 +140,7 @@ class SemanticAnswerCache:
         return ENTRY_OVERHEAD_BYTES + int(8 * expected)
 
     # ------------------------------------------------------------------
-    def get(self, request, version: object) -> DurableTopKResult | None:
+    def get(self, request, version: int) -> DurableTopKResult | None:
         """An independent clone of the cached answer, or ``None``.
 
         ``version`` must be the backend's *current* dataset/snapshot
@@ -161,13 +167,13 @@ class SemanticAnswerCache:
             return None
         return clone_result(entry.result, query=request.as_query())
 
-    def put(self, request, version: object, result: DurableTopKResult) -> bool:
+    def put(self, request, version: int, result: DurableTopKResult) -> bool:
         """Admit one completed answer; returns whether it was cached.
 
         ``version`` is the epoch the answer was computed at (for live
-        backends: the snapshot version stamped on the result), which may
-        already trail the backend's current version — such an entry is
-        admitted but can never be served, and the LRU retires it.
+        backends: the snapshot version stamped on the result). A fill
+        older than the newest epoch seen is refused, since no lookup can
+        reach it; a fill newer than it first drops every resident entry.
         """
         estimated = self.estimate_bytes(request)
         actual = _result_bytes(result)
@@ -179,6 +185,12 @@ class SemanticAnswerCache:
         key = self._key(request, version)
         evicted = 0
         with self._lock:
+            if self._version is not None and version < self._version:
+                return False
+            if version != self._version:
+                self._entries.clear()
+                self.bytes = 0
+                self._version = version
             previous = self._entries.pop(key, None)
             if previous is not None:
                 self.bytes -= previous.bytes

@@ -76,7 +76,7 @@ SMOKE_DEFAULTS = {
 
 @dataclass
 class CacheBenchResult:
-    """Report text plus raw numbers (mirrors ``ServiceBenchResult``).
+    """Report text plus raw numbers (mirrors ``FigureResult``).
 
     ``metrics`` is the structured telemetry persisted as
     ``BENCH_<name>.json`` for ``repro perf-report`` / ``perf-gate``.

@@ -5,14 +5,10 @@ Usage::
     python -m repro list
     python -m repro run fig8 --workload nba2
     python -m repro run all --out results/
-    python -m repro serve-bench --out results/
-    python -m repro serve-bench --smoke
     python -m repro cache-bench --out results/
     python -m repro cache-bench --smoke
     python -m repro ingest-bench --out results/
     python -m repro ingest-bench --smoke
-    python -m repro batch-bench --sizes 1,4,8,16
-    python -m repro batch-bench --smoke
     python -m repro obs-bench --out results/
     python -m repro obs-bench --smoke
     python -m repro gateway --port 8334
@@ -25,18 +21,15 @@ Usage::
     python -m repro stream --workload nba2 --k 3 --tau 500 --lookahead
 
 Each experiment prints the same table/series its benchmark counterpart
-saves, so results can be regenerated without pytest. ``serve-bench``
-drives the concurrent serving layer (naive lock vs session-pooled
-service); ``cache-bench`` drives the same pipelined workload with and
+saves, so results can be regenerated without pytest. ``cache-bench``
+drives a pipelined workload through the serving layer with and
 without the semantic answer cache and reports the p95 speedup and hit
 rate (its ``--smoke`` re-derives every served answer — ids, durations
 and stats — on an uncached engine, including a live-ingest phase);
 ``ingest-bench`` drives the live ingestion pipeline (appends
 racing queries) and reports throughput, latency and freshness;
-``batch-bench`` compares a serial ``query`` loop against
-``query_batch`` on same-preference Zipfian batches and reports the per-query CPU speedup curve; ``obs-bench``
-measures the tracing overhead in both modes and checks traced answers
-stay byte-identical; ``gateway`` serves the durable top-k service over
+``obs-bench`` measures the tracing overhead in both modes and checks
+traced answers stay byte-identical; ``gateway`` serves the durable top-k service over
 TCP (length-prefixed JSON frames, per-tenant API keys) until
 interrupted, and ``gateway-bench`` compares client-observed open-loop
 latency over real localhost sockets against the same service driven
@@ -161,42 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--preferences", type=int, default=3, help="preference vectors per point")
     run.add_argument("--out", type=Path, default=None, help="directory for report files")
 
-    serve = sub.add_parser(
-        "serve-bench",
-        help="benchmark the concurrent serving layer (naive lock vs pooled service)",
-    )
-    serve.add_argument("--n", type=int, default=80_000, help="dataset size")
-    serve.add_argument("--requests", type=int, default=1200, help="requests per round")
-    serve.add_argument("--clients", type=int, default=8, help="client threads")
-    serve.add_argument("--workers", type=int, default=8, help="service worker threads")
-    serve.add_argument(
-        "--preferences", type=int, default=128, help="distinct preference vectors"
-    )
-    serve.add_argument("--zipf", type=float, default=0.9, help="zipf exponent")
-    serve.add_argument("--rounds", type=int, default=2, help="timed rounds per side")
-    serve.add_argument(
-        "--verify",
-        action="store_true",
-        help="replay every request serially and check answers match",
-    )
-    serve.add_argument(
-        "--smoke",
-        action="store_true",
-        help="small run with --verify; exit 1 on any rejected/incorrect response",
-    )
-    serve.add_argument(
-        "--pool-capacity",
-        type=int,
-        default=None,
-        help="session pool capacity (default: sized to --preferences)",
-    )
-    serve.add_argument(
-        "--out",
-        type=Path,
-        default=Path("results"),
-        help="directory for service_throughput.txt (default: results/)",
-    )
-
     cache = sub.add_parser(
         "cache-bench",
         help="benchmark the semantic answer cache (uncached vs cached service)",
@@ -273,54 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=Path,
         default=Path("results"),
         help="directory for ingest_throughput.txt (default: results/)",
-    )
-
-    batch = sub.add_parser(
-        "batch-bench",
-        help="benchmark batched query execution (serial loop vs query_batch)",
-    )
-    batch.add_argument("--n", type=int, default=30_000, help="dataset size")
-    batch.add_argument(
-        "--sizes",
-        default="1,4,8,16",
-        help="comma-separated batch sizes to sweep (default: 1,4,8,16)",
-    )
-    batch.add_argument(
-        "--batches", type=int, default=8, help="same-preference batches per size"
-    )
-    batch.add_argument(
-        "--preferences", type=int, default=16, help="distinct preference vectors"
-    )
-    batch.add_argument(
-        "--shapes", type=int, default=6, help="query shapes per preference"
-    )
-    batch.add_argument(
-        "--zipf", type=float, default=1.1, help="preference zipf exponent"
-    )
-    batch.add_argument(
-        "--shape-zipf", type=float, default=1.2, help="shape zipf exponent"
-    )
-    batch.add_argument(
-        "--future", type=float, default=0.2, help="share of look-ahead queries"
-    )
-    batch.add_argument(
-        "--requests", type=int, default=400, help="service-round pipelined requests"
-    )
-    batch.add_argument(
-        "--verify",
-        action="store_true",
-        help="re-derive the service round serially on a reference engine",
-    )
-    batch.add_argument(
-        "--smoke",
-        action="store_true",
-        help="small run with --verify; exit 1 on any mismatched/rejected response",
-    )
-    batch.add_argument(
-        "--out",
-        type=Path,
-        default=Path("results"),
-        help="directory for batch_speedup.txt (default: results/)",
     )
 
     obs = sub.add_parser(
@@ -554,45 +463,6 @@ def _response_failures(data) -> list[str]:
     return failures
 
 
-def _serve_bench(args) -> int:
-    from repro.experiments.service_bench import SMOKE_DEFAULTS, service_throughput_bench
-
-    kwargs = {
-        "n": args.n,
-        "requests": args.requests,
-        "clients": args.clients,
-        "workers": args.workers,
-        "n_preferences": args.preferences,
-        "zipf_s": args.zipf,
-        "rounds": args.rounds,
-        "verify": args.verify or args.smoke,
-        "pool_capacity": args.pool_capacity,
-    }
-    if args.smoke:
-        kwargs.update(SMOKE_DEFAULTS)
-        kwargs["verify"] = True
-    start = time.perf_counter()
-    result = service_throughput_bench(**kwargs)
-    elapsed = time.perf_counter() - start
-    failures = []
-    if args.smoke:
-        failures = _response_failures(result.data)
-        if result.data["verified"] != result.data["requests"]:
-            failures.append(
-                f"serial verification {result.data['verified']}/"
-                f"{result.data['requests']}"
-            )
-    return _finish_bench(
-        "serve-bench",
-        result,
-        elapsed,
-        args.out,
-        args.smoke,
-        failures,
-        "smoke ok: all responses served and serially verified",
-    )
-
-
 def _cache_bench(args) -> int:
     from repro.experiments.cache_bench import SMOKE_DEFAULTS, cache_speedup_bench
 
@@ -679,51 +549,6 @@ def _ingest_bench(args) -> int:
         args.smoke,
         failures,
         "smoke ok: all responses served while ingesting and serially re-derived",
-    )
-
-
-def _batch_bench(args) -> int:
-    from repro.experiments.batch_bench import SMOKE_DEFAULTS, batch_speedup_bench
-
-    kwargs = {
-        "n": args.n,
-        "batch_sizes": tuple(int(s) for s in args.sizes.split(",")),
-        "batches_per_size": args.batches,
-        "n_preferences": args.preferences,
-        "shapes_per_preference": args.shapes,
-        "zipf_s": args.zipf,
-        "shape_zipf_s": args.shape_zipf,
-        "future_fraction": args.future,
-        "service_requests": args.requests,
-        "verify": args.verify or args.smoke,
-    }
-    if args.smoke:
-        kwargs.update(SMOKE_DEFAULTS)
-        kwargs["verify"] = True
-    start = time.perf_counter()
-    result = batch_speedup_bench(**kwargs)
-    elapsed = time.perf_counter() - start
-    failures = []
-    if args.smoke:
-        failures = _response_failures(result.data)
-        if result.data["mismatches"]:
-            failures.append(
-                f"{result.data['mismatches']} batch(es) diverged from the "
-                "serial loop"
-            )
-        served = result.data["requests"] - result.data["rejected"]
-        if result.data["verified"] != served:
-            failures.append(
-                f"serial verification {result.data['verified']}/{served}"
-            )
-    return _finish_bench(
-        "batch-bench",
-        result,
-        elapsed,
-        args.out,
-        args.smoke,
-        failures,
-        "smoke ok: every batched answer byte-identical to the serial reference",
     )
 
 
@@ -1000,14 +825,10 @@ def main(argv: list[str] | None = None) -> int:
         for name, (_, description) in EXPERIMENTS.items():
             print(f"{name:8s} {description}")
         return 0
-    if args.command == "serve-bench":
-        return _serve_bench(args)
     if args.command == "cache-bench":
         return _cache_bench(args)
     if args.command == "ingest-bench":
         return _ingest_bench(args)
-    if args.command == "batch-bench":
-        return _batch_bench(args)
     if args.command == "obs-bench":
         return _obs_bench(args)
     if args.command == "gateway":

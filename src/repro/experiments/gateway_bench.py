@@ -81,7 +81,7 @@ _TENANTS = {
 
 @dataclass
 class GatewayBenchResult:
-    """Report text plus raw numbers (mirrors ``ServiceBenchResult``)."""
+    """Report text plus raw numbers (mirrors ``FigureResult``)."""
 
     name: str
     report: str

@@ -9,8 +9,7 @@ appending micro-batches flat out *while* closed-loop clients query.
 Two rounds run over the same request stream:
 
 * **static** — no writers; the service answers over the seeded prefix.
-  This is the in-benchmark replica of the static-dataset baseline in
-  ``results/service_throughput.txt``.
+  This is the static-dataset baseline the live round is compared with.
 * **live** — writers ingest for the whole round. The gates compare this
   round's p95 latency against the static round (ingestion may cost at
   most 2x) and require a sustained append rate.
@@ -69,7 +68,7 @@ SMOKE_DEFAULTS = {
 
 @dataclass
 class IngestBenchResult:
-    """Report text plus raw numbers (mirrors ``ServiceBenchResult``).
+    """Report text plus raw numbers (mirrors ``FigureResult``).
 
     ``metrics`` is the structured telemetry persisted as
     ``BENCH_<name>.json`` for ``repro perf-report`` / ``perf-gate``.

@@ -82,7 +82,7 @@ SLO_OVERHEAD_BOUND = 0.01
 
 @dataclass
 class ObsBenchResult:
-    """Report text plus raw numbers (mirrors ``ServiceBenchResult``).
+    """Report text plus raw numbers (mirrors ``FigureResult``).
 
     ``metrics`` is the structured telemetry persisted as
     ``BENCH_<name>.json`` for ``repro perf-report`` / ``perf-gate``.

@@ -4,8 +4,8 @@ Turns the single-caller :class:`~repro.core.engine.DurableTopKEngine` /
 :class:`~repro.minidb.database.MiniDB` stack into a thread-safe,
 multi-client service: bounded admission, per-preference request
 batching, a warm session pool, pluggable execution backends, synthetic
-workload generation and SLO metrics. See ``README.md`` ("Serving layer")
-and ``EXPERIMENTS.md`` ("The service throughput benchmark").
+workload generation and SLO metrics. See ``README.md`` ("The serving
+layer").
 """
 
 from repro.service.backends import (
@@ -22,11 +22,7 @@ from repro.service.request import (
     RejectionReason,
     preference_key,
 )
-from repro.service.service import (
-    DurableTopKService,
-    LockedEngineService,
-    shed_low_priority,
-)
+from repro.service.service import DurableTopKService, shed_low_priority
 from repro.service.workload import (
     WorkloadGenerator,
     WorkloadSpec,
@@ -41,7 +37,6 @@ __all__ = [
     "DurableTopKService",
     "EngineBackend",
     "LiveBackend",
-    "LockedEngineService",
     "MetricsCollector",
     "MetricsSnapshot",
     "MiniDBBackend",

@@ -57,7 +57,7 @@ class EngineBackend:
     def __init__(self, engine) -> None:
         self.engine = engine
 
-    def dataset_version(self):
+    def dataset_version(self) -> int:
         """The served content epoch (immutable datasets stamp one version)."""
         return self.engine.dataset.version
 
@@ -93,7 +93,7 @@ class LiveBackend:
     def __init__(self, live) -> None:
         self.live = live
 
-    def dataset_version(self):
+    def dataset_version(self) -> int:
         """The live content epoch: the monotone row-count version stamp."""
         return self.live.version
 
@@ -150,7 +150,7 @@ class MiniDBBackend:
         # internal latching; one execution latch stands in for them.
         self._latch = threading.Lock()
 
-    def dataset_version(self):
+    def dataset_version(self) -> int:
         """MiniDB tables are load-once immutable; one epoch per database."""
         return getattr(self.db, "version", 0)
 

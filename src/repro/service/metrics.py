@@ -305,16 +305,6 @@ class MetricsCollector:
         """
         self._sources.append(source)
 
-    def reset_clock(self) -> None:
-        """Restart the throughput window only.
-
-        Samples and counters recorded before the call survive — after a
-        warmup phase that is almost never what a measurement wants, since
-        warmup latencies keep polluting the percentile windows. Use
-        :meth:`reset` between warmup and the measured run.
-        """
-        self._started = time.perf_counter()
-
     def reset(self) -> None:
         """Full reset: clock, samples and every counter series.
 

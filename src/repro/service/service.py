@@ -49,11 +49,6 @@ Every future the service hands out is settled through :func:`_resolve`,
 which skips a future its caller already cancelled: a worker never
 raises on a cancelled future, and a cancelled request never stalls the
 requests queued behind it.
-
-:class:`LockedEngineService` is the contrast class: the naive way to
-make the engine multi-client is one global lock around it. It shares the
-service's request/response/metrics surface so benchmarks can swap the
-two — `benchmarks/test_service_throughput.py` measures the gap.
 """
 
 from __future__ import annotations
@@ -77,7 +72,7 @@ from repro.service.request import (
     RejectionReason,
 )
 
-__all__ = ["DurableTopKService", "LockedEngineService", "shed_low_priority"]
+__all__ = ["DurableTopKService", "shed_low_priority"]
 
 
 def shed_low_priority(request: QueryRequest, monitor) -> RejectionReason | None:
@@ -579,8 +574,8 @@ class DurableTopKService:
                 if self.cache is not None:
                     # Fill at the epoch the answer was computed at (the
                     # live snapshot stamp when present): under ingest
-                    # that epoch may already trail the current one, and
-                    # such a fill can never be served — exactly right.
+                    # that epoch may already trail a newer fill's, and
+                    # the cache refuses it.
                     version = outcome.extra.get("snapshot_version")
                     if version is None:
                         version = self._version_of()
@@ -600,46 +595,3 @@ class DurableTopKService:
                     item, outcome, batch_size=batch_size, done=done, pool_hit=pool_hit
                 )
 
-
-class LockedEngineService:
-    """The naive multi-client layer: one global lock around the engine.
-
-    Every request — including any index (re)build the engine's LRU has
-    evicted — runs under the lock, so clients serialise end to end. This
-    is the baseline the session-pooled service is measured against; it
-    deliberately has no queue, no batching and no pooling beyond the
-    engine's own ``PREFERENCE_CACHE_SIZE``-entry index LRU.
-    """
-
-    def __init__(self, engine, metrics: MetricsCollector | None = None) -> None:
-        self.engine = engine
-        self.metrics = metrics if metrics is not None else MetricsCollector()
-        self._lock = threading.Lock()
-
-    def query(self, request: QueryRequest) -> QueryResponse:
-        self.metrics.record_submit()
-        start = time.perf_counter()
-        with self._lock:
-            acquired = time.perf_counter()
-            result = self.engine.query(
-                request.as_query(), request.scorer, algorithm=request.algorithm
-            )
-        done = time.perf_counter()
-        response = QueryResponse(
-            request=request,
-            result=result,
-            wait_seconds=acquired - start,
-            service_seconds=done - acquired,
-            total_seconds=done - start,
-        )
-        self.metrics.record_response(response)
-        return response
-
-    def close(self) -> None:
-        """Nothing to release (no workers, no pool)."""
-
-    def __enter__(self) -> "LockedEngineService":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()

@@ -172,16 +172,6 @@ class WorkloadGenerator:
         """A deterministic batch of ``count`` requests."""
         return [self.request() for _ in range(count)]
 
-    def preference_batch(self, size: int) -> list[QueryRequest]:
-        """``size`` requests under one Zipfian-drawn preference.
-
-        The shape of a same-preference batch exactly as the service's
-        per-preference batching sees it — what the batched-execution
-        benchmark drives through ``query_batch``.
-        """
-        rank = int(self._rng.choice(len(self.scorers), p=self.popularity))
-        return [self._request_for(rank) for _ in range(size)]
-
 
 def open_loop_arrivals(
     requests: Iterable[QueryRequest], rate: float, seed: int = 0
@@ -224,9 +214,8 @@ def run_closed_loop(
     """Drive ``query`` with ``clients`` threads, each one-at-a-time.
 
     ``query`` is any blocking request->response callable — a
-    :meth:`DurableTopKService.query` bound method, a
-    :class:`LockedEngineService`'s, or a plain function — so the same
-    driver measures every serving strategy. Responses are returned in
+    :meth:`DurableTopKService.query` bound method or a plain function —
+    so the same driver measures every serving strategy. Responses are returned in
     request order. If ``query`` raises in a client thread, that first
     exception is re-raised here (with the remaining clients drained)
     rather than dying silently inside the thread.

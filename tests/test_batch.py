@@ -54,6 +54,29 @@ def random_queries(rng, n, count, future_fraction=0.3, tau_max=60):
     return queries, algorithms
 
 
+class _WindowCounter:
+    """Forwards a top-k block, counting the windows it is asked."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.windows = 0
+
+    def topk(self, k, lo, hi):
+        self.windows += 1
+        return self._inner.topk(k, lo, hi)
+
+    def top1(self, lo, hi):
+        self.windows += 1
+        return self._inner.top1(lo, hi)
+
+    def topk_batch(self, k, windows):
+        self.windows += len(windows)
+        return self._inner.topk_batch(k, windows)
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
 # ----------------------------------------------------------------------
 # The vectorised kernel
 # ----------------------------------------------------------------------
@@ -181,6 +204,29 @@ class TestEngineBatchEquivalence:
             want = engine.query(query, scorer, algorithm=name, with_durations=True)
             assert got.ids == want.ids
             assert got.durations == want.durations
+            assert got.stats.as_dict() == want.stats.as_dict()
+
+    def test_overlapping_batch_makes_fewer_raw_index_calls(self, scorer):
+        """16 overlapping same-preference T-Hop queries share windows: as
+        one batch they ask the raw top-k block fewer windows than one at
+        a time, and every query's stats stay identical."""
+        engine = DurableTopKEngine(independent_uniform(3000, 2, seed=7))
+        queries = [
+            DurableTopKQuery(k=(5, 10)[i % 2], tau=60, interval=(hi - 600, hi))
+            for i, hi in enumerate(range(2000, 2400, 25))
+        ]
+        assert len(queries) == 16
+        with engine.session(scorer) as session:
+            counter = _WindowCounter(session.index)
+            session.index = counter
+            serial = [session.query(query, algorithm="t-hop") for query in queries]
+            serial_windows, counter.windows = counter.windows, 0
+            batched = session.query_batch(queries, algorithm="t-hop")
+        # One at a time, the raw block answers every probe the stats count.
+        assert serial_windows == sum(r.stats.topk_queries for r in serial)
+        assert counter.windows < serial_windows
+        for got, want in zip(batched, serial):
+            assert got.ids == want.ids
             assert got.stats.as_dict() == want.stats.as_dict()
 
     def test_algorithm_list_length_mismatch_raises(self, small_ind, scorer):

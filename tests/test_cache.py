@@ -113,6 +113,25 @@ class TestSemanticAnswerCache:
         # The estimate alone decides: a small actual answer is still refused.
         assert cache.estimate_bytes(huge) > cache.max_entry_bytes
 
+    def test_a_newer_fill_drops_every_older_entry(self):
+        """Lookups ask for the newest epoch, so older entries are dead:
+        the first fill at a newer epoch drops them all, and a fill
+        computed at an older epoch than the newest seen is refused."""
+        registry = MetricsRegistry()
+        cache = SemanticAnswerCache(registry=registry)
+        old = [_request(tau=10 + i) for i in range(3)]
+        for request in old:
+            assert cache.put(request, 4, _result(request, [1, 2]))
+        assert len(cache) == 3
+        fresh = _request(k=5)
+        assert cache.put(fresh, 7, _result(fresh, [3]))
+        assert len(cache) == 1
+        assert cache.bytes == registry.gauge("cache.bytes").value == 128
+        assert not cache.put(old[0], 5, _result(old[0], [1, 2]))
+        assert len(cache) == 1 and cache.bytes == 128
+        assert cache.get(old[0], 7) is None
+        assert cache.get(fresh, 7).ids == [3]
+
     def test_stats_shape(self):
         cache = SemanticAnswerCache(registry=MetricsRegistry())
         request = _request()
@@ -301,6 +320,26 @@ class TestCachedServiceEquivalence:
             assert response.result.ids == expected.ids
             assert response.result.durations == expected.durations
             assert response.result.stats.as_dict() == expected.stats.as_dict()
+
+    def test_live_cache_holds_only_the_current_epoch(self):
+        """Every append moves the live version; the answers of older
+        versions leave the cache instead of waiting for the byte LRU."""
+        rng = np.random.default_rng(5)
+        live = LiveDataset(d=2, seal_rows=64)
+        live.extend(rng.random((200, 2)))
+        scorer = LinearPreference([0.6, 0.4])
+        cache = SemanticAnswerCache(registry=MetricsRegistry())
+        with DurableTopKService(LiveBackend(live), workers=2, cache=cache) as service:
+            for i in range(40):
+                if i % 4 == 0:
+                    live.extend(rng.random((3, 2)))
+                request = QueryRequest(
+                    scorer=scorer, k=3, tau=5 + i, interval=(0, 150), algorithm="t-hop"
+                )
+                assert service.query(request).ok
+                assert len(cache) <= 4
+        assert cache.stats()["fills"] == 40
+        live.close()
 
     @pytest.mark.parametrize("seed", [31, 32, 33])
     def test_random_ingest_interleaving_never_stale(self, seed):

@@ -327,12 +327,6 @@ class TestMetricsCollector:
         collector.record_response(_response(total=0.001))
         assert collector.snapshot().latency_p95 <= 0.001 + 1e-9
 
-    def test_reset_clock_keeps_samples(self):
-        collector = MetricsCollector()
-        collector.record_response(_response(total=0.5))
-        collector.reset_clock()
-        assert collector.snapshot().completed == 1  # documented clock-only reset
-
     def test_snapshot_folds_sources_into_extra(self):
         collector = MetricsCollector()
         collector.add_source(lambda: {"other": 9})

@@ -280,13 +280,20 @@ class TestDirsAndCLI:
 # The benches really emit schema-valid telemetry
 # ----------------------------------------------------------------------
 class TestBenchEmission:
-    def test_serve_bench_smoke_emits_valid_bench_json(self, tmp_path, capsys):
-        assert main(["serve-bench", "--smoke", "--out", str(tmp_path)]) == 0
-        record = load_bench_record(tmp_path / "BENCH_service_throughput.json")
+    def test_obs_bench_smoke_emits_valid_bench_json(self, tmp_path, capsys):
+        main(["obs-bench", "--smoke", "--out", str(tmp_path)])
+        # A wrong, refused or non-identical answer fails the test; the
+        # smoke's wall-clock overhead gates are the obs-smoke CI kind's.
+        for line in capsys.readouterr().out.splitlines():
+            if line.startswith("SMOKE FAILURE: "):
+                failures = line.removeprefix("SMOKE FAILURE: ").split("; ")
+                assert all("overhead" in failure for failure in failures), line
+        record = load_bench_record(tmp_path / "BENCH_obs_overhead.json")
         names = {m.name for m in record.metrics}
-        assert {"pooled_rps", "speedup", "incorrect", "rejected"} <= names
+        assert {"off_rps", "disabled_overhead", "slo_overhead", "incorrect"} <= names
+        assert record.metric("incorrect").value == 0
         assert (tmp_path / "BENCH_HISTORY.jsonl").exists()
-        text = (tmp_path / "service_throughput.txt").read_text()
+        text = (tmp_path / "obs_overhead.txt").read_text()
         assert text.startswith("# env: ")
 
     def test_figure_run_emits_valid_bench_json(self, tmp_path, capsys):

@@ -23,7 +23,6 @@ from repro.scoring import LinearPreference
 from repro.service import (
     DurableTopKService,
     EngineBackend,
-    LockedEngineService,
     MetricsCollector,
     MiniDBBackend,
     QueryRequest,
@@ -61,6 +60,8 @@ class TestConcurrencyEquivalence:
             EngineBackend(DurableTopKEngine(small_ind)), workers=6, pool_capacity=10
         ) as service:
             responses = run_closed_loop(service.query, stream, clients=8)
+            # A pool sized to the catalogue builds each preference once.
+            assert service.pool.stats()["misses"] <= spec.n_preferences
         for request, response in zip(stream, responses):
             assert response.ok
             expected = durable_topk(
@@ -121,9 +122,12 @@ class TestConcurrencyEquivalence:
             pool_capacity=4,
         ) as service:
             responses = run_pipelined(service.submit, stream, clients=5)
+            assert service.metrics.snapshot().mean_batch_size > 1.0
+            assert service.pool.stats()["misses"] <= spec.n_preferences
         batched = [r for r in responses if r.batch_size > 1]
         assert batched, "pipelined driving should produce at least one real batch"
         for request, response in zip(stream, responses):
+            assert response.ok
             expected = durable_topk(
                 small_ind,
                 request.scorer,
@@ -612,11 +616,3 @@ class TestMetrics:
         report = snap.report("test")
         assert "p95" in report and "hit rate" in report
         assert snap.as_dict()["latency_ms"]["p95"] >= 0
-
-    def test_locked_baseline_shares_surface(self, small_ind, linear_2d):
-        with LockedEngineService(DurableTopKEngine(small_ind)) as naive:
-            response = naive.query(
-                QueryRequest(scorer=linear_2d, k=3, tau=15, algorithm="t-hop")
-            )
-            assert response.ok and response.result.ids
-            assert naive.metrics.snapshot().completed == 1
