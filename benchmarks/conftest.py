@@ -1,13 +1,8 @@
 """Shared fixtures for the figure/table benchmarks.
 
 Every benchmark writes its paper-style report to ``<name>.txt`` in the
-results directory (stamped with an environment fingerprint and
-printed). Benchmarks that carry structured
-:class:`~repro.experiments.resultstore.BenchMetric` telemetry pass it as
-``save_report``'s third argument and additionally emit
-``BENCH_<name>.json`` and a ``BENCH_HISTORY.jsonl`` line — the records
-``repro perf-report`` and ``repro perf-gate`` diff against
-``benchmarks/baselines/``.
+results directory, stamped with an environment fingerprint, and prints
+it.
 
 The results directory is a per-session temporary directory, so a plain
 ``pytest`` run leaves the checkout clean. Set ``REPRO_WRITE_RESULTS=1``
@@ -35,25 +30,12 @@ def results_dir(tmp_path_factory) -> Path:
 
 @pytest.fixture(scope="session")
 def save_report(results_dir):
-    from repro.experiments.resultstore import (
-        BenchRecord,
-        environment_fingerprint,
-        fingerprint_header,
-        save_bench_record,
-    )
+    from repro.experiments.resultstore import fingerprint_header
 
-    def _save(name: str, report: str, metrics=None) -> None:
-        env = environment_fingerprint()
+    def _save(name: str, report: str) -> None:
         path = results_dir / f"{name}.txt"
-        path.write_text(fingerprint_header(env) + "\n" + report + "\n")
+        path.write_text(fingerprint_header() + "\n" + report + "\n")
         print(f"\n{report}\n[saved to {path}]")
-        if metrics:
-            # Named after the artifact (fig8_nba2, table4_dbms_tau, ...)
-            # so per-workload records stay distinct in the baseline dir.
-            save_bench_record(
-                BenchRecord(name=name, metrics=list(metrics), environment=env),
-                results_dir,
-            )
 
     return _save
 

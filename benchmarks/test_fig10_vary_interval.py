@@ -39,6 +39,6 @@ def test_fig10_vary_interval(benchmark, workload, request, save_report):
         rounds=1,
         iterations=1,
     )
-    save_report(f"fig10_{workload}", fig.report, fig.metrics)
+    save_report(f"fig10_{workload}", fig.report)
     _check_shape(fig)
     assert len(fig.data["sweep"].parameter_values()) == len(INTERVAL_FRACTIONS)

@@ -19,7 +19,7 @@ def test_fig11_vary_dimension(benchmark, save_report):
         rounds=1,
         iterations=1,
     )
-    save_report("fig11_network", fig.report, fig.metrics)
+    save_report("fig11_network", fig.report)
 
     rows = fig.data["rows"]
     dims = sorted(rows)

@@ -25,7 +25,7 @@ def test_fig12_ind(benchmark, save_report):
         rounds=1,
         iterations=1,
     )
-    save_report("fig12_ind", fig.report, fig.metrics)
+    save_report("fig12_ind", fig.report)
     rows = fig.data["rows"]
     for algo in ("t-hop", "s-hop"):
         counts = [rows[n][algo].mean_topk_queries for n in IND_SIZES]
@@ -44,7 +44,7 @@ def test_fig12_anti(benchmark, save_report):
         rounds=1,
         iterations=1,
     )
-    save_report("fig12_anti", fig.report, fig.metrics)
+    save_report("fig12_anti", fig.report)
     rows = fig.data["rows"]
     # Hop algorithms stay flat in #queries on ANTI too.
     for algo in ("t-hop", "s-hop"):

@@ -41,7 +41,7 @@ def test_fig13_runtime_distribution(benchmark, save_report):
         + "\nruntime cv: "
         + ", ".join(f"{a}={c:.2f}" for a, c in cv.items())
     )
-    save_report("fig13_nba5", report, fig.metrics)
+    save_report("fig13_nba5", report)
 
     # S-Band's work driver |C| genuinely varies across subsets...
     assert csizes.max() > 1.5 * csizes.min(), csizes

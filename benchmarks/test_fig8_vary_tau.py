@@ -47,6 +47,6 @@ def test_fig8_vary_tau(benchmark, workload, request, save_report):
     fig = benchmark.pedantic(
         figure8_vary_tau, args=(dataset,), kwargs={"n_preferences": 3}, rounds=1, iterations=1
     )
-    save_report(f"fig8_{workload}", fig.report, fig.metrics)
+    save_report(f"fig8_{workload}", fig.report)
     _check_shape(fig)
     assert len(fig.data["sweep"].parameter_values()) == len(TAU_FRACTIONS)

@@ -36,6 +36,6 @@ def test_fig9_vary_k(benchmark, workload, request, save_report):
     fig = benchmark.pedantic(
         figure9_vary_k, args=(dataset,), kwargs={"n_preferences": 3}, rounds=1, iterations=1
     )
-    save_report(f"fig9_{workload}", fig.report, fig.metrics)
+    save_report(f"fig9_{workload}", fig.report)
     _check_shape(fig)
     assert len(fig.data["sweep"].parameter_values()) == len(K_VALUES)

@@ -15,7 +15,7 @@ def test_table4_dbms_vary_tau(benchmark, save_report):
     fig = benchmark.pedantic(
         table4_dbms_vary_tau, kwargs={"n": 40_000}, rounds=1, iterations=1
     )
-    save_report("table4_dbms_tau", fig.report, fig.metrics)
+    save_report("table4_dbms_tau", fig.report)
     rows = fig.data["rows"]
 
     hop_pages = [r["t-hop pages"] for r in rows]

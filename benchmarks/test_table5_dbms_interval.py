@@ -13,7 +13,7 @@ def test_table5_dbms_vary_interval(benchmark, save_report):
     fig = benchmark.pedantic(
         table5_dbms_vary_interval, kwargs={"n": 40_000}, rounds=1, iterations=1
     )
-    save_report("table5_dbms_interval", fig.report, fig.metrics)
+    save_report("table5_dbms_interval", fig.report)
     rows = fig.data["rows"]
 
     base_pages = [r["t-base pages"] for r in rows]

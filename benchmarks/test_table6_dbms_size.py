@@ -17,7 +17,7 @@ def test_table6_dbms_datasets(benchmark, save_report):
         rounds=1,
         iterations=1,
     )
-    save_report("table6_dbms_size", fig.report, fig.metrics)
+    save_report("table6_dbms_size", fig.report)
     rows = {r["dataset"].split(" ")[0]: r for r in fig.data["rows"]}
 
     # The big synthetic tables show a clear page-I/O gap...

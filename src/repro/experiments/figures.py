@@ -24,11 +24,9 @@ from repro.data import (
 )
 from repro.experiments.harness import run_algorithm_suite, run_sweep
 from repro.experiments.report import format_series, format_table
-from repro.experiments.resultstore import BenchMetric
 
 __all__ = [
     "FigureResult",
-    "suite_metrics",
     "figure8_vary_tau",
     "figure9_vary_k",
     "figure10_vary_interval",
@@ -48,56 +46,14 @@ DIMENSIONS = [2, 3, 5, 10, 20, 37]
 
 @dataclass
 class FigureResult:
-    """A rendered experiment: report text plus raw per-point data.
-
-    ``metrics`` is the structured telemetry persisted as
-    ``BENCH_<name>.json`` for ``repro perf-report`` / ``perf-gate``.
-    """
+    """A rendered experiment: report text plus raw per-point data."""
 
     name: str
     report: str
     data: dict = field(default_factory=dict)
-    metrics: list = field(default_factory=list)
 
     def __str__(self) -> str:  # pragma: no cover - convenience
         return self.report
-
-
-def suite_metrics(rows_by_param: dict) -> list[BenchMetric]:
-    """Per-algorithm telemetry aggregated across one sweep's settings.
-
-    Two numbers per algorithm: the mean query time (machine-bound, wide
-    band — the figures run at laptop scale) and the mean top-k subquery
-    count, which is deterministic given the seed and therefore portable
-    with a tight band — the early-warning metric for an algorithmic
-    change hiding behind wall-clock noise.
-    """
-    per_algo: dict[str, list] = {}
-    for rows in rows_by_param.values():
-        for name, row in rows.items():
-            per_algo.setdefault(name, []).append(row)
-    metrics: list[BenchMetric] = []
-    for name, rows in sorted(per_algo.items()):
-        metrics.append(
-            BenchMetric(
-                f"{name}_mean_ms",
-                round(mean(r.mean_ms for r in rows), 3),
-                "ms",
-                "lower",
-                0.35,
-            )
-        )
-        metrics.append(
-            BenchMetric(
-                f"{name}_topk_queries",
-                round(mean(r.mean_topk_queries for r in rows), 2),
-                "",
-                "lower",
-                0.02,
-                portable=True,
-            )
-        )
-    return metrics
 
 
 def nba2_dataset(n: int = 20_000, seed: int = 7) -> Dataset:
@@ -150,7 +106,6 @@ def figure8_vary_tau(dataset: Dataset, n_preferences: int = 3, seed: int = 0) ->
         name=f"fig8-{dataset.name}",
         report=_sweep_report(sweep, f"Figure 8 ({dataset.name}): vary tau"),
         data={"sweep": sweep},
-        metrics=suite_metrics(sweep.rows),
     )
 
 
@@ -161,7 +116,6 @@ def figure9_vary_k(dataset: Dataset, n_preferences: int = 3, seed: int = 0) -> F
         name=f"fig9-{dataset.name}",
         report=_sweep_report(sweep, f"Figure 9 ({dataset.name}): vary k"),
         data={"sweep": sweep},
-        metrics=suite_metrics(sweep.rows),
     )
 
 
@@ -180,7 +134,6 @@ def figure10_vary_interval(
         name=f"fig10-{dataset.name}",
         report=_sweep_report(sweep, f"Figure 10 ({dataset.name}): vary |I|"),
         data={"sweep": sweep},
-        metrics=suite_metrics(sweep.rows),
     )
 
 
@@ -226,7 +179,6 @@ def figure11_vary_dimension(
         name="fig11-network",
         report=report,
         data={"rows": rows},
-        metrics=suite_metrics(rows),
     )
 
 
@@ -274,7 +226,6 @@ def figure12_scalability(
         name=f"fig12-{kind}",
         report="\n\n".join(parts),
         data={"rows": rows},
-        metrics=suite_metrics(rows),
     )
 
 
@@ -338,22 +289,4 @@ def figure13_runtime_distribution(
             "topk_counts": topk_counts,
             "candidate_sizes": candidate_sizes,
         },
-        metrics=[
-            BenchMetric(
-                f"{a}_mean_ms", round(mean(ts), 3), "ms", "lower", 0.35
-            )
-            for a, ts in sorted(times.items())
-        ]
-        + [
-            # The reproduced claim: S-Band's runtime spread dwarfs the
-            # hop algorithms'. Spread is a same-run ratio, so portable.
-            BenchMetric(
-                "sband_spread",
-                round(max(times["s-band"]) / max(min(times["s-band"]), 1e-9), 2),
-                "x",
-                "higher",
-                0.50,
-                portable=True,
-            ),
-        ],
     )

@@ -8,7 +8,6 @@ from repro.core.record import Dataset
 from repro.data import synthetic_dataset
 from repro.experiments.figures import FigureResult, nba2_dataset
 from repro.experiments.report import format_table
-from repro.experiments.resultstore import BenchMetric
 from repro.minidb import MiniDB, t_base_procedure, t_hop_procedure
 from repro.scoring import random_preference
 
@@ -46,44 +45,6 @@ def _run_pair(db: MiniDB, u: np.ndarray, k: int, tau: int, lo: int, hi: int) -> 
     }
 
 
-def _table_metrics(rows: list[dict]) -> list[BenchMetric]:
-    """Telemetry for one DBMS table: seconds totals and the page story.
-
-    Page counts come from single cold rounds and are deterministic given
-    the seed, so they (and their ratio) carry tight portable bands; the
-    best-of-3 seconds are machine-bound with a wide band.
-    """
-    hop_pages = sum(r["t-hop pages"] for r in rows)
-    base_pages = sum(r["t-base pages"] for r in rows)
-    return [
-        BenchMetric(
-            "t_hop_s_total",
-            round(sum(r["t-hop s"] for r in rows), 4),
-            "s",
-            "lower",
-            0.35,
-        ),
-        BenchMetric(
-            "t_base_s_total",
-            round(sum(r["t-base s"] for r in rows), 4),
-            "s",
-            "lower",
-            0.35,
-        ),
-        BenchMetric("t_hop_pages_total", hop_pages, "pages", "lower", 0.02, portable=True),
-        # The table's headline claim: T-Base reads this many times more
-        # pages than T-Hop. A drop is a regression of the reproduction.
-        BenchMetric(
-            "page_ratio",
-            round(base_pages / max(hop_pages, 1), 2),
-            "x",
-            "higher",
-            0.10,
-            portable=True,
-        ),
-    ]
-
-
 def table4_dbms_vary_tau(
     n: int = 40_000,
     tau_fractions: list[float] | None = None,
@@ -102,9 +63,7 @@ def table4_dbms_vary_tau(
             row = _run_pair(db, u, k, tau, n // 2, n - 1)
             rows.append({"tau": f"{int(frac * 100)}%", **row})
     report = format_table(rows, title=f"Table IV — MiniDB backend, NBA-2 (n={n}), vary tau")
-    return FigureResult(
-        name="table4", report=report, data={"rows": rows}, metrics=_table_metrics(rows)
-    )
+    return FigureResult(name="table4", report=report, data={"rows": rows})
 
 
 def table5_dbms_vary_interval(
@@ -126,9 +85,7 @@ def table5_dbms_vary_interval(
             row = _run_pair(db, u, k, tau, n - length, n - 1)
             rows.append({"|I|": f"{int(frac * 100)}%", **row})
     report = format_table(rows, title=f"Table V — MiniDB backend, NBA-2 (n={n}), vary |I|")
-    return FigureResult(
-        name="table5", report=report, data={"rows": rows}, metrics=_table_metrics(rows)
-    )
+    return FigureResult(name="table5", report=report, data={"rows": rows})
 
 
 def table6_dbms_datasets(
@@ -159,6 +116,4 @@ def table6_dbms_datasets(
             size_mb = db.storage_bytes() / 1e6
         rows.append({"dataset": f"{name} ({size_mb:.1f} MB)", **row})
     report = format_table(rows, title="Table VI — MiniDB backend, dataset comparison")
-    return FigureResult(
-        name="table6", report=report, data={"rows": rows}, metrics=_table_metrics(rows)
-    )
+    return FigureResult(name="table6", report=report, data={"rows": rows})

@@ -5,8 +5,7 @@ benchmark's load generators, the tests, and any user script get a
 client with no event loop to manage. Send and receive sides take
 separate locks, so the pipelined pattern — one thread streaming
 ``submit`` calls while another drains ``recv`` — works on a single
-connection, which is exactly how ``gateway-bench`` drives open-loop
-load.
+connection, which is how ``perfbench``'s wire workloads drive load.
 
 :meth:`query` is the one-liner for sequential use (submit, then wait
 for the frame echoing the request id). Typed server refusals surface as

@@ -39,7 +39,6 @@ from repro.obs.trace import (
     disable,
     enable,
     is_enabled,
-    spans_started,
     trace_span,
     tracing_active,
 )
@@ -69,7 +68,6 @@ __all__ = [
     "enable",
     "disable",
     "is_enabled",
-    "spans_started",
     "configure_json_logging",
     "render_prometheus",
     "format_waterfall",

@@ -20,9 +20,9 @@ consults :meth:`SLOMonitor.fast_burning` at admission and sheds
 lowest-priority work while the fast window burns, shielding the latency
 objective *before* the queue fills and QUEUE_FULL takes over.
 
-Recording is one deque append plus amortised pruning — far below the
-cost of the request it describes (obs-bench gates the bound at <1% of
-per-request wall time). Evaluation publishes per-SLO gauges
+Recording is one deque append plus amortised pruning — about 2 µs per
+answered request on a 2-vCPU VM, far below the cost of the request it
+describes (EXPERIMENTS.md, "Wall-clock claims of the deleted drivers"). Evaluation publishes per-SLO gauges
 (``slo.burn_rate{slo=...,window=...}``, ``slo.burning{slo=...}``) into
 the bound :class:`~repro.obs.registry.MetricsRegistry`, so burn rates
 ride the Prometheus export and ``repro top`` for free.

@@ -38,7 +38,6 @@ __all__ = [
     "add_span",
     "current_span",
     "current_context",
-    "spans_started",
 ]
 
 # --------------------------------------------------------------------------
@@ -49,10 +48,6 @@ _enabled = False
 _tls = threading.local()
 _span_seq = itertools.count(1)
 _trace_seq = itertools.count(1)
-# Total spans opened while tracing was enabled (used by obs-bench to
-# estimate spans-per-request).  Plain int guarded by _stats_lock.
-_spans_started = 0
-_stats_lock = threading.Lock()
 # Callbacks fired with each completed Trace (JSON log exporter hooks in
 # here).  Mutated only from configure paths; read on the hot path.
 _completion_hooks: list = []
@@ -80,12 +75,6 @@ def disable() -> None:
 
 def is_enabled() -> bool:
     return _enabled
-
-
-def spans_started() -> int:
-    """Spans opened while tracing was enabled (cumulative)."""
-
-    return _spans_started
 
 
 def add_completion_hook(hook) -> None:
@@ -256,7 +245,6 @@ class _SpanContext:
         self.span: Span | None = None
 
     def __enter__(self) -> Span:
-        global _spans_started
         stack = _stack()
         if stack:
             parent_id = stack[-1].span_id
@@ -273,8 +261,6 @@ class _SpanContext:
             start=perf_counter() if self._start is None else self._start,
             attrs=self._attrs,
         )
-        with _stats_lock:
-            _spans_started += 1
         trace.add(span)
         stack.append(span)
         self.span = span
@@ -374,9 +360,8 @@ def current_context() -> tuple[str, str] | None:
 def reset_for_tests() -> None:
     """Clear all tracer state (tests only)."""
 
-    global _enabled, _spans_started
+    global _enabled
     _enabled = False
-    _spans_started = 0
     _tls.stack = []
     _tls.trace = None
     TRACES.clear()

@@ -26,9 +26,7 @@ from repro.service.service import DurableTopKService, shed_low_priority
 from repro.service.workload import (
     WorkloadGenerator,
     WorkloadSpec,
-    open_loop_arrivals,
     run_closed_loop,
-    run_open_loop,
     run_pipelined,
     zipfian_probabilities,
 )
@@ -47,11 +45,9 @@ __all__ = [
     "SessionPool",
     "WorkloadGenerator",
     "WorkloadSpec",
-    "open_loop_arrivals",
     "percentile",
     "preference_key",
     "run_closed_loop",
-    "run_open_loop",
     "run_pipelined",
     "shed_low_priority",
     "zipfian_probabilities",

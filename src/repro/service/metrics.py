@@ -188,8 +188,8 @@ class MetricsCollector:
     staleness) objective, every admission outcome feeds the rejection
     objective, and the monitor's gauges are published into this
     collector's registry so Prometheus export and ``repro top`` see
-    them. The per-event cost is a few deque appends — obs-bench gates it
-    below 1% of per-request wall time.
+    them. The per-event cost is a few deque appends (about 2 µs per
+    answered request, see :mod:`repro.obs.slo`).
     """
 
     def __init__(

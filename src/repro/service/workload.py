@@ -14,8 +14,7 @@ provides both:
   (``FUTURE``-direction) queries.
 * **Arrival models** — *closed-loop* (``clients`` threads, each issuing
   its next request when the previous one answers: throughput-bound) and
-  *open-loop* (Poisson arrivals at a target rate, independent of service
-  speed: the model that exposes queueing delay and admission control).
+  *pipelined* (each client submits its share up front, then collects).
 
 Generation is deterministic given the spec's seed, so the equivalence
 tests can replay the exact request stream serially.
@@ -24,9 +23,8 @@ tests can replay the exact request stream serially.
 from __future__ import annotations
 
 import threading
-import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -38,9 +36,7 @@ __all__ = [
     "WorkloadSpec",
     "WorkloadGenerator",
     "zipfian_probabilities",
-    "open_loop_arrivals",
     "run_closed_loop",
-    "run_open_loop",
     "run_pipelined",
 ]
 
@@ -173,22 +169,6 @@ class WorkloadGenerator:
         return [self.request() for _ in range(count)]
 
 
-def open_loop_arrivals(
-    requests: Iterable[QueryRequest], rate: float, seed: int = 0
-) -> Iterator[tuple[float, QueryRequest]]:
-    """Pair requests with Poisson inter-arrival delays (seconds).
-
-    ``rate`` is the offered load in requests/second; delays are iid
-    exponential with mean ``1/rate``, the standard open-loop model where
-    arrivals do not wait for completions.
-    """
-    if rate <= 0:
-        raise ValueError(f"arrival rate must be > 0, got {rate}")
-    rng = np.random.default_rng(seed)
-    for request in requests:
-        yield float(rng.exponential(1.0 / rate)), request
-
-
 @dataclass
 class _SharedCursor:
     """Hand out requests to closed-loop clients one at a time."""
@@ -294,22 +274,3 @@ def run_pipelined(
         raise errors[0]
     return [future.result() for future in futures]  # type: ignore[union-attr]
 
-
-def run_open_loop(
-    submit: Callable[[QueryRequest], "object"],
-    requests: Sequence[QueryRequest],
-    rate: float,
-    seed: int = 0,
-) -> list[QueryResponse]:
-    """Submit at a Poisson ``rate`` and gather all responses.
-
-    ``submit`` must return a future with a ``result()`` method (the
-    service's :meth:`submit`). The producer never blocks on completions —
-    queueing and admission control absorb any mismatch between offered
-    and served rate, which is exactly what this driver measures.
-    """
-    futures = []
-    for delay, request in open_loop_arrivals(requests, rate, seed=seed):
-        time.sleep(delay)
-        futures.append(submit(request))
-    return [future.result() for future in futures]

@@ -17,8 +17,11 @@ import numpy as np
 import pytest
 
 from repro.cache import InFlightRegistry, SemanticAnswerCache
+from repro.cache.answers import ENTRY_OVERHEAD_BYTES, ID_BYTES
 from repro.core.engine import DurableTopKEngine
 from repro.core.query import DurableTopKResult
+from repro.core.record import Dataset
+from repro.data import independent_uniform
 from repro.ingest import LiveDataset
 from repro.obs import MetricsRegistry
 from repro.scoring import LinearPreference
@@ -31,6 +34,7 @@ from repro.service import (
     SessionPool,
     WorkloadGenerator,
     WorkloadSpec,
+    run_pipelined,
 )
 
 
@@ -87,9 +91,11 @@ class TestSemanticAnswerCache:
 
     def test_byte_lru_eviction(self):
         registry = MetricsRegistry()
-        # ~148 bytes/entry (120 overhead + 8 * 3-4 ids): room for ~3.
+        # Room for three entries of four ids.
         cache = SemanticAnswerCache(
-            capacity_bytes=3 * 152, max_entry_bytes=1000, registry=registry
+            capacity_bytes=3 * (ENTRY_OVERHEAD_BYTES + 4 * ID_BYTES),
+            max_entry_bytes=10_000,
+            registry=registry,
         )
         requests = [_request(tau=10 + i) for i in range(5)]
         for i, request in enumerate(requests):
@@ -103,7 +109,7 @@ class TestSemanticAnswerCache:
 
     def test_admission_refuses_oversized_answers(self):
         cache = SemanticAnswerCache(
-            capacity_bytes=10_000, max_entry_bytes=200, registry=MetricsRegistry()
+            capacity_bytes=10_000, max_entry_bytes=2_000, registry=MetricsRegistry()
         )
         # Lemma 4 estimate k|I|/(tau+1): 10 * 10_000 / 2 = 50_000 ids.
         huge = _request(k=10, tau=1, interval=(0, 9_999))
@@ -126,11 +132,59 @@ class TestSemanticAnswerCache:
         fresh = _request(k=5)
         assert cache.put(fresh, 7, _result(fresh, [3]))
         assert len(cache) == 1
-        assert cache.bytes == registry.gauge("cache.bytes").value == 128
+        one_id = ENTRY_OVERHEAD_BYTES + ID_BYTES
+        assert cache.bytes == registry.gauge("cache.bytes").value == one_id
         assert not cache.put(old[0], 5, _result(old[0], [1, 2]))
-        assert len(cache) == 1 and cache.bytes == 128
+        assert len(cache) == 1 and cache.bytes == one_id
         assert cache.get(old[0], 7) is None
         assert cache.get(fresh, 7).ids == [3]
+
+    def test_charge_tracks_the_memory_entries_hold(self):
+        """``cache.bytes`` is within 1.5x of what 2,000 real answers
+        measurably hold. The answers are unpickled inside the trace, so
+        the cache is the only holder of every object it keeps, as it is
+        once a served response is dropped."""
+        import gc
+        import pickle
+        import tracemalloc
+
+        dataset = independent_uniform(6_000, 2, seed=7)
+        engine = DurableTopKEngine(dataset)
+        spec = WorkloadSpec(
+            n_preferences=64,
+            d=2,
+            k_choices=(5, 10),
+            tau_fractions=(0.01, 0.05),
+            interval_fractions=(0.02, 0.2),
+            algorithms=("t-hop",),
+            seed=7,
+        )
+        generator = WorkloadGenerator(spec, dataset.n)
+        pairs, seen = [], set()
+        while len(pairs) < 2_000:
+            request = generator.request()
+            if request.query_key in seen:
+                continue
+            seen.add(request.query_key)
+            del request.__dict__["query_key"]  # recomputed by put, as served
+            result = engine.query(request.as_query(), request.scorer, request.algorithm)
+            pairs.append((request, result))
+        blob = pickle.dumps(pairs)
+        del pairs, request, result
+        cache = SemanticAnswerCache(registry=MetricsRegistry())
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for request, result in pickle.loads(blob):
+                assert cache.put(request, 0, result)
+            del request, result
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(cache) == 2_000
+        assert cache.bytes / 1.5 <= held <= 1.5 * cache.bytes, (held, cache.bytes)
 
     def test_stats_shape(self):
         cache = SemanticAnswerCache(registry=MetricsRegistry())
@@ -388,10 +442,9 @@ class TestCachedServiceEquivalence:
                     response = service.query(request)
                     assert response.ok
                     n_snap = response.result.extra["snapshot_n"]
+                    assert n_snap == len(shadow)  # served at the current epoch
                     engine = engines.get(n_snap)
                     if engine is None:
-                        from repro.core.record import Dataset
-
                         engine = engines[n_snap] = DurableTopKEngine(
                             Dataset(np.asarray(shadow[:n_snap]), name=f"pfx-{n_snap}")
                         )
@@ -407,6 +460,97 @@ class TestCachedServiceEquivalence:
             assert settled.extra.get("cache") == "exact"
         assert cache.stats()["hits"] > 0
         live.close()
+
+
+    def test_cached_answers_racing_a_writer_match_their_prefix(self):
+        """A cached service over a live dataset while a writer appends
+        (the maintenance thread sealing and compacting behind it): two
+        pipelined passes over one stream, so exact hits and epoch misses
+        both race ingest. Every answer equals a fresh engine over the
+        prefix its snapshot pins, and no second-pass answer pins a
+        snapshot older than the dataset at the start of that pass."""
+        rng = np.random.default_rng(41)
+        master = rng.random((20_000, 2))
+        live = LiveDataset(d=2, seal_rows=250, compact_fanout=2)
+        live.extend(master[:2_000])
+        live.seal()
+        live.start_maintenance(poll_seconds=0.001)
+        spec = WorkloadSpec(
+            n_preferences=8,
+            d=2,
+            k_choices=(3, 5),
+            tau_fractions=(0.05, 0.10),
+            interval_fractions=(0.05, 0.2),
+            algorithms=("t-hop",),
+            seed=41,
+            shapes_per_preference=4,
+        )
+        stream = WorkloadGenerator(spec, 2_000).requests(60)
+        cache = SemanticAnswerCache()
+        stop = threading.Event()
+
+        def writer() -> None:
+            at = 2_000
+            while not stop.is_set() and at < len(master):
+                live.extend(master[at : at + 50])
+                at += 50
+                time.sleep(0.0005)
+
+        thread = threading.Thread(target=writer)
+        thread.start()
+        try:
+            with DurableTopKService(
+                LiveBackend(live), workers=3, max_batch=8, cache=cache
+            ) as service:
+                responses = run_pipelined(service.submit, stream, clients=4)
+                n_between = live.n
+                second = run_pipelined(service.submit, stream, clients=4)
+        finally:
+            stop.set()
+            thread.join()
+            live.close()
+        assert all(r.result.extra["snapshot_n"] >= n_between for r in second)
+        responses += second
+        engines: dict[int, DurableTopKEngine] = {}
+        for request, response in zip(stream + stream, responses):
+            assert response.ok
+            n_snap = response.result.extra["snapshot_n"]
+            engine = engines.get(n_snap)
+            if engine is None:
+                engine = engines[n_snap] = DurableTopKEngine(Dataset(master[:n_snap]))
+            expected = engine.query(request.as_query(), request.scorer, request.algorithm)
+            assert response.result.ids == expected.ids, n_snap
+            assert response.result.durations == expected.durations
+
+    def test_hot_shapes_hit_at_least_half_on_a_serial_drive(self, small_ind):
+        """On Zipf-hot preferences repeating a few shapes each, a fresh
+        stream served one request at a time after a warm-up stream finds
+        at least half its answers in the exact tier. Serial, so the rate
+        depends on the seed alone."""
+        spec = WorkloadSpec(
+            n_preferences=16,
+            d=small_ind.d,
+            zipf_s=1.1,
+            k_choices=(5, 10),
+            tau_fractions=(0.05, 0.10),
+            interval_fractions=(0.02, 0.05),
+            algorithms=("t-hop",),
+            seed=7,
+            shapes_per_preference=6,
+            shape_zipf_s=1.2,
+        )
+        generator = WorkloadGenerator(spec, small_ind.n)
+        with DurableTopKService(
+            EngineBackend(DurableTopKEngine(small_ind)),
+            workers=2,
+            cache=SemanticAnswerCache(registry=MetricsRegistry()),
+        ) as service:
+            for request in generator.requests(240):
+                assert service.query(request).ok
+            responses = [service.query(r) for r in generator.requests(240)]
+        assert all(r.ok for r in responses)
+        hits = sum(r.extra.get("cache") == "exact" for r in responses)
+        assert hits / len(responses) >= 0.5, hits
 
 
 # ----------------------------------------------------------------------

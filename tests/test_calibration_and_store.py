@@ -1,20 +1,11 @@
-"""Tests for cost-model calibration and result persistence."""
+"""Tests for cost-model calibration and the report fingerprint."""
 
 import numpy as np
-import pytest
 
-from repro.core.engine import DurableTopKEngine
 from repro.core.planner import CostModel
-from repro.core.query import Direction, DurableTopKQuery
 from repro.core.record import Dataset
 from repro.experiments.calibration import calibrate_cost_model
-from repro.experiments.resultstore import (
-    load_result,
-    result_from_dict,
-    result_to_dict,
-    save_result,
-)
-from repro.scoring import LinearPreference
+from repro.experiments.resultstore import environment_fingerprint, fingerprint_header
 
 
 class TestCalibration:
@@ -54,53 +45,12 @@ class TestCalibration:
         assert model.topk_query > 0
 
 
-class TestResultStore:
-    @pytest.fixture()
-    def result(self):
-        rng = np.random.default_rng(3)
-        dataset = Dataset(rng.random((400, 2)), name="store")
-        engine = DurableTopKEngine(dataset)
-        return engine.query(
-            DurableTopKQuery(k=2, tau=40, interval=(50, 350)),
-            LinearPreference([0.5, 0.5]),
-            algorithm="t-hop",
-            with_durations=True,
-        )
-
-    def test_roundtrip_dict(self, result):
-        payload = result_to_dict(result)
-        restored = result_from_dict(payload)
-        assert restored.ids == result.ids
-        assert restored.algorithm == result.algorithm
-        assert restored.query == result.query
-        assert restored.durations == result.durations
-        assert restored.stats.topk_queries == result.stats.topk_queries
-
-    def test_roundtrip_file(self, result, tmp_path):
-        path = save_result(result, tmp_path / "run.json")
-        restored = load_result(path)
-        assert restored.ids == result.ids
-        assert restored.query.direction is Direction.PAST
-
-    def test_provenance_recorded(self, result):
-        import repro
-
-        payload = result_to_dict(result)
-        assert payload["library_version"] == repro.__version__
-
-    def test_missing_fields_rejected(self):
-        with pytest.raises(ValueError, match="missing field"):
-            result_from_dict({"algorithm": "t-hop"})
-
-    def test_future_direction_roundtrip(self):
-        rng = np.random.default_rng(4)
-        dataset = Dataset(rng.random((200, 1)), name="future-store")
-        engine = DurableTopKEngine(dataset)
-        res = engine.query(
-            DurableTopKQuery(k=1, tau=20, direction=Direction.FUTURE),
-            LinearPreference([1.0]),
-            algorithm="t-hop",
-        )
-        restored = result_from_dict(result_to_dict(res))
-        assert restored.query.direction is Direction.FUTURE
-        assert restored.ids == res.ids
+class TestEnvironmentFingerprint:
+    def test_environment_fingerprint_contents(self):
+        env = environment_fingerprint()
+        for key in ("cpu_count", "python", "platform", "machine", "git_sha"):
+            assert env[key]
+        header = fingerprint_header(env)
+        assert header.startswith("# env: ")
+        assert f"cores={env['cpu_count']}" in header
+        assert "\n# clocks: " in header

@@ -73,11 +73,13 @@ class TestStream:
         assert f"{len(expected.ids)}/400 records look-back durable" in out
 
 
-class TestIngestBench:
-    def test_smoke_verifies_every_response(self, capsys, tmp_path):
-        code = main(["ingest-bench", "--smoke", "--out", str(tmp_path)])
+class TestTrace:
+    def test_trace_prints_the_slowest_waterfalls(self, capsys):
+        code = main(["trace", "--requests", "40", "--top", "2"])
         out = capsys.readouterr().out
         assert code == 0, out
-        assert "smoke ok" in out
-        saved = tmp_path / "ingest_throughput.txt"
-        assert "incorrect" in saved.read_text() or "identical" in saved.read_text()
+        assert "slowest 2 of 40 requests" in out
+        waterfalls = [w for w in out.split("\n\n")[1:] if w.strip()]
+        assert len(waterfalls) == 2, out
+        for waterfall in waterfalls:
+            assert "service.batch" in waterfall, waterfall

@@ -19,7 +19,6 @@ import struct
 import threading
 import time
 from concurrent.futures import Future
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings

@@ -228,6 +228,23 @@ class TestLiveDatasetEquivalence:
         assert live.segment_count == 1
         assert live.query(query, scorer).ids == before
 
+    def test_compaction_bounds_the_segment_count(self, scorer):
+        """Sealing each full tail and compacting after every seal, as the
+        maintenance thread does, keeps fewer than one segment per 1,000
+        rows (128 seals of 512 rows would leave 128 segments unmerged)."""
+        rng = np.random.default_rng(16)
+        live = LiveDataset(d=2, seal_rows=512, compact_fanout=8)
+        for chunk in rng.random((1_024, 64, 2)):
+            live.extend(chunk)
+            if live.seal(min_rows=live.seal_rows):
+                live.compact()
+        assert live.seals == 128 and live.compactions > 0
+        assert live.segment_count < live.n // 1_000
+        query = DurableTopKQuery(k=3, tau=2_000, interval=(60_000, 65_535))
+        scores = scorer.scores(live.freeze().values)
+        want = brute_force_durable_topk(scores, 3, 60_000, 65_535, 2_000)
+        assert live.query(query, scorer).ids == want
+
     def test_snapshot_is_stable_under_later_appends(self, scorer):
         rng = np.random.default_rng(11)
         live = make_live(rng.random((200, 2)), seal_every=80)

@@ -38,7 +38,16 @@ from repro.obs import (
 )
 from repro.obs.trace import reset_for_tests
 from repro.scoring import LinearPreference
-from repro.service import MetricsCollector, QueryRequest, QueryResponse
+from repro.service import (
+    DurableTopKService,
+    EngineBackend,
+    MetricsCollector,
+    QueryRequest,
+    QueryResponse,
+    WorkloadGenerator,
+    WorkloadSpec,
+    run_pipelined,
+)
 from repro.service.request import RejectionReason
 
 
@@ -172,6 +181,37 @@ class TestLayerSpans:
         assert trace.root.attrs["durability_topk"] >= 1
         assert index.attrs["calls"] == trace.root.attrs["durability_topk"]
         assert index.attrs["candidates_scanned"] > 0
+
+    def test_service_answers_identical_traced_and_untraced(self, small_ind):
+        """Tracing observes, never participates: one pipelined stream
+        served untraced, then traced, gives the same ids and
+        ``QueryStats`` for every request."""
+        spec = WorkloadSpec(
+            n_preferences=6,
+            d=small_ind.d,
+            k_choices=(3, 5),
+            tau_fractions=(0.05, 0.10),
+            interval_fractions=(0.2, 0.5),
+            algorithms=("t-hop", "t-base", "s-hop"),
+            seed=29,
+        )
+        stream = WorkloadGenerator(spec, small_ind.n).requests(80)
+        rounds = []
+        with DurableTopKService(
+            EngineBackend(DurableTopKEngine(small_ind)), workers=3, max_batch=8
+        ) as service:
+            for traced in (False, True):
+                if traced:
+                    enable()
+                try:
+                    rounds.append(run_pipelined(service.submit, stream, clients=4))
+                finally:
+                    disable()
+        assert TRACES.slowest(), "the traced round opened no spans"
+        for off, on in zip(*rounds):
+            assert off.ok and on.ok
+            assert on.result.ids == off.result.ids
+            assert on.result.stats.as_dict() == off.result.stats.as_dict()
 
     def test_live_snapshot_span_reports_parts_resolved(self):
         live = LiveDataset(d=2)

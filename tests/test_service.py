@@ -33,7 +33,6 @@ from repro.service import (
     percentile,
     preference_key,
     run_closed_loop,
-    run_open_loop,
     run_pipelined,
     zipfian_probabilities,
 )
@@ -550,16 +549,6 @@ class TestWorkload:
         gen = WorkloadGenerator(WorkloadSpec(n_preferences=3, seed=1), 500)
         keys = {preference_key(r.scorer) for r in gen.requests(60)}
         assert keys <= {preference_key(s) for s in gen.scorers}
-
-    def test_open_loop_driver(self, small_ind):
-        spec = WorkloadSpec(n_preferences=3, d=small_ind.d, algorithms=("t-hop",), seed=3)
-        stream = WorkloadGenerator(spec, small_ind.n).requests(20)
-        with DurableTopKService(
-            EngineBackend(DurableTopKEngine(small_ind)), workers=2, pool_capacity=4
-        ) as service:
-            responses = run_open_loop(service.submit, stream, rate=2000.0, seed=3)
-        assert len(responses) == 20
-        assert all(r.ok for r in responses)
 
 
 # ----------------------------------------------------------------------
