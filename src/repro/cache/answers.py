@@ -118,6 +118,13 @@ class SemanticAnswerCache:
             max_entry_bytes if max_entry_bytes is not None else capacity_bytes // 8
         )
         self.registry = registry if registry is not None else global_registry()
+        # Resolved once: ``registry.counter`` takes a lock and sorts the
+        # labels on every call, and ``MetricsRegistry.reset`` zeroes a
+        # series in place, so the objects stay the live series.
+        self._lookups = {
+            tier: self.registry.counter("cache.lookups", tier=tier)
+            for tier in ("exact", "miss")
+        }
         self._lock = threading.Lock()
         self._entries: "OrderedDict[Hashable, _Entry]" = OrderedDict()
         # The newest epoch any admitted fill was computed at; every
@@ -171,7 +178,7 @@ class SemanticAnswerCache:
                     self.misses += 1
             tier = "exact" if entry is not None else "miss"
             span.set(tier=tier)
-        self.registry.counter("cache.lookups", tier=tier).inc()
+        self._lookups[tier].inc()
         if entry is None:
             return None
         return clone_result(entry.result, query=request.as_query())

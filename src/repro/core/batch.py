@@ -28,7 +28,7 @@ learns about windows outlives it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.core.query import DurableTopKQuery, DurableTopKResult
 from repro.index.topk import BatchTopKMemo
@@ -137,7 +137,7 @@ def clone_result(
         ids=list(result.ids),
         query=query if query is not None else result.query,
         algorithm=result.algorithm,
-        stats=replace(result.stats),
+        stats=result.stats.copy(),
         elapsed_seconds=result.elapsed_seconds,
         durations=None if result.durations is None else dict(result.durations),
         extra=dict(result.extra),

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from enum import Enum
+from operator import attrgetter
 from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -84,7 +85,7 @@ class DurableTopKQuery:
         return DurableTopKQuery(self.k, self.tau, flipped, direction)
 
 
-@dataclass
+@dataclass(slots=True)
 class QueryStats:
     """Instrumentation counters collected while answering one query.
 
@@ -114,14 +115,24 @@ class QueryStats:
 
     def as_dict(self) -> dict[str, int]:
         """Counters as a plain dict (for reports and aggregation)."""
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out = dict(zip(_STATS_FIELDS, _stats_values(self)))
         out["topk_queries"] = self.topk_queries
         return out
 
+    def copy(self) -> "QueryStats":
+        """An independent copy (every counter is an immutable number)."""
+        return QueryStats(*_stats_values(self))
+
     def add(self, other: "QueryStats") -> None:
         """Accumulate another stats object into this one."""
-        for f in fields(self):
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+        for name in _STATS_FIELDS:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
+
+
+# Resolved once: ``dataclasses.fields`` walks the class on every call,
+# and a cache hit copies and serialises one of these per answer.
+_STATS_FIELDS = tuple(f.name for f in fields(QueryStats))
+_stats_values = attrgetter(*_STATS_FIELDS)
 
 
 @dataclass

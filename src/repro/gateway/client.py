@@ -54,15 +54,21 @@ class GatewayClient:
         max_frame_bytes: int = MAX_FRAME_BYTES,
     ) -> None:
         self._sock = socket.create_connection((host, port), timeout=timeout)
-        self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._decoder = FrameDecoder(max_frame_bytes)
         self._frames: list[dict] = []
         self._send_lock = threading.Lock()
         self._recv_lock = threading.Lock()
         self._ids = itertools.count(1)
         self.tenant: str | None = None
-        if key is not None:
-            self.auth(key)
+        try:
+            self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            if key is not None:
+                self.auth(key)
+        except BaseException:
+            # A refused key (or a dead peer) leaves no caller holding the
+            # client, so nobody else could close its socket.
+            self.close()
+            raise
 
     # -- raw frame I/O -------------------------------------------------
     def send(self, payload: dict) -> None:

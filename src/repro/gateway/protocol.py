@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import enum
 import json
+import operator
 import struct
 from dataclasses import dataclass
 
@@ -62,6 +63,11 @@ __all__ = [
 MAX_FRAME_BYTES = 1 << 20
 
 _HEADER = struct.Struct(">I")
+
+#: One compact encoder for every frame: ``json.dumps`` with non-default
+#: separators builds a fresh ``JSONEncoder`` per call; this one encodes
+#: to the same bytes.
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
 
 
 class ErrorCode(enum.Enum):
@@ -117,7 +123,7 @@ class FrameTooLarge(ProtocolError):
 
 def encode_frame(payload: dict) -> bytes:
     """One wire frame: 4-byte big-endian length + compact JSON body."""
-    body = json.dumps(payload, separators=(",", ":")).encode("utf-8")
+    body = _ENCODER.encode(payload).encode("utf-8")
     return _HEADER.pack(len(body)) + body
 
 
@@ -192,6 +198,26 @@ def request_to_wire(request: QueryRequest, id: int | None = None) -> dict:
     return payload
 
 
+def _wire_int(value, name: str) -> int:
+    """An integer field of a ``query`` frame.
+
+    JSON numbers arrive as ``int`` or ``float``; a float is accepted only
+    when it is integral, and booleans (an ``int`` subclass in Python) are
+    refused, so ``10.9`` or ``true`` never silently become ``10`` or ``1``.
+    """
+    if type(value) is int:
+        return value
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            if isinstance(value, float) and value.is_integer():
+                return int(value)
+    raise ProtocolError(
+        ErrorCode.BAD_REQUEST, f"{name} must be an integer, got {value!r}"
+    )
+
+
 def request_from_wire(
     payload: dict, scorer_of, default_priority: int = 0
 ) -> QueryRequest:
@@ -217,7 +243,10 @@ def request_from_wire(
             raise ProtocolError(
                 ErrorCode.BAD_REQUEST, "interval must be a [lo, hi] pair"
             )
-        interval = (int(interval[0]), int(interval[1]))
+        interval = (
+            _wire_int(interval[0], "interval"),
+            _wire_int(interval[1], "interval"),
+        )
     direction = payload.get("direction", Direction.PAST.value)
     try:
         direction = Direction(direction)
@@ -229,13 +258,13 @@ def request_from_wire(
     try:
         request = QueryRequest(
             scorer=scorer_of(weights),
-            k=int(payload.get("k", 0)),
-            tau=int(payload.get("tau", 0)),
+            k=_wire_int(payload.get("k", 0), "k"),
+            tau=_wire_int(payload.get("tau", 0), "tau"),
             interval=interval,
             direction=direction,
             algorithm=str(payload.get("algorithm", "s-hop")),
             timeout=float(timeout) if timeout is not None else None,
-            priority=int(payload.get("priority", default_priority)),
+            priority=_wire_int(payload.get("priority", default_priority), "priority"),
         )
     except (TypeError, ValueError) as exc:
         raise ProtocolError(ErrorCode.BAD_REQUEST, str(exc)) from exc

@@ -3,19 +3,34 @@
 One event loop in a dedicated thread accepts persistent connections and
 speaks the length-prefixed JSON protocol of :mod:`repro.gateway.protocol`.
 The loop thread never executes a query: each admitted request is handed
-to the threaded service via ``service.submit``, and the returned
-:class:`concurrent.futures.Future` carries a done-callback that
-serialises the response on the worker thread that completed it, then
-hops back onto the loop with ``call_soon_threadsafe`` to write the
-frame, so the loop that every connection shares spends no time on
-response JSON. No per-request asyncio task, no future wrapping, no
-write lock — every write happens on the loop thread, which serialises
-frames by construction. Responses therefore return in completion order
-(the client matches them by echoed ``id``), slow queries never stall the
-accept/read path, and same-preference requests from different
-connections land in the same service batch while identical in-flight
-queries coalesce — the gateway inherits the whole PR 2/6/9 serving
-stack for free.
+to the threaded service via ``service.submit``, and what happens next
+depends on whether the returned :class:`concurrent.futures.Future` is
+already done:
+
+* **Done when submit returns** — an exact answer-cache hit, or a typed
+  service rejection, both settled inside ``submit`` on the loop thread.
+  The loop serialises and writes the answer at once: no queue slot, no
+  done-callback, no ``call_soon_threadsafe`` wake-up of its own
+  self-pipe.
+* **Pending** — a miss (or a request riding an in-flight twin). The
+  future carries a done-callback that serialises the response on the
+  worker thread that completed it, then hops back onto the loop with
+  ``call_soon_threadsafe`` to write the frame, so the loop that every
+  connection shares spends no time on that response's JSON.
+
+Every answer the loop produces while dispatching one read's frames
+(hits, rejections, pongs, errors) goes to the connection's outbox, which
+is flushed with one transport write when the read's frames are done —
+also when a frame closes the connection — so a pipelined burst of hits
+costs one ``send`` rather than one per frame. Answers arriving from
+worker threads are written one by one as they land. No per-request
+asyncio task, no future wrapping, no write lock — every write happens
+on the loop thread, which serialises frames by construction. Responses
+therefore return in completion order (the client matches them by echoed
+``id``), slow queries never stall the accept/read path, and
+same-preference requests from different connections land in the same
+service batch while identical in-flight queries coalesce — the gateway
+inherits the whole batching, single-flight and cache stack for free.
 
 Admission on the loop thread, in order, cheapest first:
 
@@ -40,19 +55,22 @@ loop exits. ``close(drain=False)`` abandons in-flight work instead.
 Writes are buffered by the transport and not awaited (a reply frame is
 a few hundred bytes; flow control for a client that never reads is the
 kernel's socket buffer plus the drain timeout, not the request path).
+Queries answered on the loop never hold a drain-barrier slot: only a
+pending future counts toward ``_open`` and the tenant's queue quota.
 
-Observability: per-tenant counters in the PR 7 metrics registry
+Observability: per-tenant counters in the metrics registry
 (``gateway.requests{tenant,outcome}``, ``gateway.bytes_in/out``,
 ``gateway.connections`` gauge + ``gateway.connections_total``) feed the
 Prometheus export and the ``repro top`` gateway row; resolved Counter
 objects are memoised because the registry's label-key handling is too
-slow for a per-request path. Each completed request retro-records a
-``gateway.request`` span (rooted at arrival time via the ``_start``
-override, with a ``gateway.service`` child for the submit→resolve
-region) into the PR 7 trace tree — opened and closed synchronously
-after completion, because the tracer's span stack is thread-local and
-holding a span across an ``await`` would interleave concurrent
-requests' trees.
+slow for a per-request path. ``gateway.bytes_out`` is counted per
+transport write, under the connection's tenant at the time of the write.
+Each completed request retro-records a ``gateway.request`` span (rooted
+at arrival time via the ``_start`` override, with a ``gateway.service``
+child for the submit→resolve region) into the trace tree — opened and
+closed synchronously after completion, because the tracer's span stack
+is thread-local and holding a span across an ``await`` would interleave
+concurrent requests' trees.
 """
 
 from __future__ import annotations
@@ -83,15 +101,18 @@ _READ_CHUNK = 1 << 16
 
 
 class _Connection:
-    """Per-connection state: auth, decoder, writer."""
+    """Per-connection state: auth, decoder, writer, outbox."""
 
-    __slots__ = ("writer", "decoder", "digest", "tenant")
+    __slots__ = ("writer", "decoder", "digest", "tenant", "outbox")
 
     def __init__(self, writer: asyncio.StreamWriter, max_frame_bytes: int) -> None:
         self.writer = writer
         self.decoder = FrameDecoder(max_frame_bytes)
         self.digest: str | None = None
         self.tenant: Tenant | None = None
+        #: Frames answered while one read's frames are dispatched; ``None``
+        #: outside a dispatch, when a frame goes straight to the writer.
+        self.outbox: list[bytes] | None = None
 
     @property
     def tenant_label(self) -> str:
@@ -247,15 +268,19 @@ class DurableTopKGateway:
                 if not data:
                     break
                 self._count_bytes("in", conn.tenant_label, len(data))
+                conn.outbox = []
                 try:
-                    frames = conn.decoder.feed(data)
-                except ProtocolError as exc:
-                    # A desynchronised stream cannot be recovered —
-                    # answer once, then hang up.
-                    self._send(conn, error_frame(exc.code, str(exc)))
-                    break
-                if not all(self._dispatch(conn, frame) for frame in frames):
-                    break
+                    try:
+                        frames = conn.decoder.feed(data)
+                    except ProtocolError as exc:
+                        # A desynchronised stream cannot be recovered —
+                        # answer once, then hang up.
+                        self._send(conn, error_frame(exc.code, str(exc)))
+                        break
+                    if not all(self._dispatch(conn, frame) for frame in frames):
+                        break
+                finally:
+                    self._flush(conn)
         except (ConnectionResetError, asyncio.CancelledError):
             pass
         finally:
@@ -363,6 +388,12 @@ class DurableTopKGateway:
             self._count(name, "internal")
             self._send(conn, error_frame(ErrorCode.INTERNAL, repr(exc), id=id))
             return True
+        if future.done():
+            # An exact cache hit or a typed rejection settled inside
+            # submit: answer it now, with no queue slot and no hop
+            # through the loop's self-pipe.
+            self._deliver(conn, name, t0, *self._encode(future, id, t0))
+            return True
         self._inflight[name] = self._inflight.get(name, 0) + 1
         self._open += 1
         future.add_done_callback(
@@ -372,25 +403,28 @@ class DurableTopKGateway:
         )
         return True
 
+    def _encode(self, future, id, t0: float) -> tuple[str, bytes, float]:
+        """A done future's answer: ``(outcome, frame bytes, service seconds)``."""
+        try:
+            response = future.result()
+            outcome = "ok" if response.ok else response.error.reason.value
+            data = encode_frame(response_to_wire(response, id=id))
+            return outcome, data, response.total_seconds
+        except BaseException as exc:
+            # The service stores whatever a batch raised in the future,
+            # BaseException included; it becomes this request's answer.
+            data = encode_frame(error_frame(ErrorCode.INTERNAL, repr(exc), id=id))
+            return "internal", data, perf_counter() - t0
+
     def _resolved(self, conn: _Connection, id, name: str, future, t0: float) -> None:
         """Future done-callback (any thread): serialise the response on the
         thread that completed it, then hop onto the loop to write it."""
         loop = self._loop
         if loop is None or loop.is_closed():  # pragma: no cover - late completion
             return
+        answer = self._encode(future, id, t0)
         try:
-            response = future.result()
-            outcome = "ok" if response.ok else response.error.reason.value
-            data = encode_frame(response_to_wire(response, id=id))
-            service_seconds = response.total_seconds
-        except BaseException as exc:
-            outcome = "internal"
-            data = encode_frame(error_frame(ErrorCode.INTERNAL, repr(exc), id=id))
-            service_seconds = perf_counter() - t0
-        try:
-            loop.call_soon_threadsafe(
-                self._complete, conn, name, outcome, data, t0, service_seconds
-            )
+            loop.call_soon_threadsafe(self._complete, conn, name, t0, *answer)
         except RuntimeError:  # pragma: no cover - loop shut down mid-call
             pass
 
@@ -398,21 +432,33 @@ class DurableTopKGateway:
         self,
         conn: _Connection,
         name: str,
+        t0: float,
         outcome: str,
         data: bytes,
-        t0: float,
         service_seconds: float,
     ) -> None:
-        """Write one serialised response (loop thread)."""
+        """Write one response a worker thread finished (loop thread)."""
         try:
-            self._trace(name, outcome, t0, service_seconds)
-            self._count(name, outcome)
-            self._write(conn, data)
+            self._deliver(conn, name, t0, outcome, data, service_seconds)
         finally:
             self._inflight[name] = max(0, self._inflight.get(name, 0) - 1)
             self._open -= 1
             if self._open <= 0 and self._draining and self._idle is not None:
                 self._idle.set()
+
+    def _deliver(
+        self,
+        conn: _Connection,
+        name: str,
+        t0: float,
+        outcome: str,
+        data: bytes,
+        service_seconds: float,
+    ) -> None:
+        """Trace, count and write one serialised response (loop thread)."""
+        self._trace(name, outcome, t0, service_seconds)
+        self._count(name, outcome)
+        self._write(conn, data)
 
     # ------------------------------------------------------------------
     # helpers
@@ -421,11 +467,20 @@ class DurableTopKGateway:
         self._write(conn, encode_frame(payload))
 
     def _write(self, conn: _Connection, data: bytes) -> None:
+        if conn.outbox is not None:
+            conn.outbox.append(data)
+            return
         try:
             conn.writer.write(data)
         except (ConnectionResetError, BrokenPipeError, RuntimeError):
             return
         self._count_bytes("out", conn.tenant_label, len(data))
+
+    def _flush(self, conn: _Connection) -> None:
+        """Write one read's answers with a single transport write."""
+        outbox, conn.outbox = conn.outbox, None
+        if outbox:
+            self._write(conn, b"".join(outbox))
 
     def _count(self, tenant: str, outcome: str) -> None:
         counter = self._request_counters.get((tenant, outcome))

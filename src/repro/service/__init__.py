@@ -26,7 +26,6 @@ from repro.service.service import DurableTopKService, shed_low_priority
 from repro.service.workload import (
     WorkloadGenerator,
     WorkloadSpec,
-    run_closed_loop,
     run_pipelined,
     zipfian_probabilities,
 )
@@ -47,7 +46,6 @@ __all__ = [
     "WorkloadSpec",
     "percentile",
     "preference_key",
-    "run_closed_loop",
     "run_pipelined",
     "shed_low_priority",
     "zipfian_probabilities",

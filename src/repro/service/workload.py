@@ -12,9 +12,8 @@ provides both:
   request from configurable choice sets (fractions of the dataset size,
   mirroring the Table III sweeps), with an optional share of look-ahead
   (``FUTURE``-direction) queries.
-* **Arrival models** — *closed-loop* (``clients`` threads, each issuing
-  its next request when the previous one answers: throughput-bound) and
-  *pipelined* (each client submits its share up front, then collects).
+* **Arrival model** — *pipelined*: each client thread submits its share
+  up front, then collects.
 
 Generation is deterministic given the spec's seed, so the equivalence
 tests can replay the exact request stream serially.
@@ -23,7 +22,7 @@ tests can replay the exact request stream serially.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -36,7 +35,6 @@ __all__ = [
     "WorkloadSpec",
     "WorkloadGenerator",
     "zipfian_probabilities",
-    "run_closed_loop",
     "run_pipelined",
 ]
 
@@ -167,70 +165,6 @@ class WorkloadGenerator:
     def requests(self, count: int) -> list[QueryRequest]:
         """A deterministic batch of ``count`` requests."""
         return [self.request() for _ in range(count)]
-
-
-@dataclass
-class _SharedCursor:
-    """Hand out requests to closed-loop clients one at a time."""
-
-    requests: Sequence[QueryRequest]
-    lock: threading.Lock = field(default_factory=threading.Lock)
-    next_index: int = 0
-
-    def take(self) -> tuple[int, QueryRequest] | None:
-        with self.lock:
-            if self.next_index >= len(self.requests):
-                return None
-            i = self.next_index
-            self.next_index += 1
-            return i, self.requests[i]
-
-
-def run_closed_loop(
-    query: Callable[[QueryRequest], QueryResponse],
-    requests: Sequence[QueryRequest],
-    clients: int = 8,
-) -> list[QueryResponse]:
-    """Drive ``query`` with ``clients`` threads, each one-at-a-time.
-
-    ``query`` is any blocking request->response callable — a
-    :meth:`DurableTopKService.query` bound method or a plain function —
-    so the same driver measures every serving strategy. Responses are returned in
-    request order. If ``query`` raises in a client thread, that first
-    exception is re-raised here (with the remaining clients drained)
-    rather than dying silently inside the thread.
-    """
-    if clients < 1:
-        raise ValueError(f"clients must be >= 1, got {clients}")
-    cursor = _SharedCursor(requests)
-    responses: list[QueryResponse | None] = [None] * len(requests)
-    errors: list[BaseException] = []
-
-    def client() -> None:
-        while True:
-            taken = cursor.take()
-            if taken is None:
-                return
-            i, request = taken
-            try:
-                responses[i] = query(request)
-            except BaseException as exc:
-                with cursor.lock:
-                    errors.append(exc)
-                    cursor.next_index = len(requests)  # stop all clients
-                return
-
-    threads = [
-        threading.Thread(target=client, name=f"closed-loop-client-{i}", daemon=True)
-        for i in range(min(clients, max(1, len(requests))))
-    ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    if errors:
-        raise errors[0]
-    return responses  # type: ignore[return-value]
 
 
 def run_pipelined(

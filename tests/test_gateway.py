@@ -6,8 +6,11 @@ the same requests executed on an in-process engine. Around it: framing
 under adversarial TCP chunking (and a byte-fuzzed decoder that raises
 nothing but typed protocol errors), the pre-hashed auth fast path
 (unknown/revoked keys, registry refresh without restart), per-tenant
-token-bucket fairness between competing tenants, queue quotas, and
-graceful drain (in-flight requests complete, new connections refused).
+token-bucket fairness between competing tenants, queue quotas,
+graceful drain (in-flight requests complete, new connections refused),
+strict integer fields in query frames, and the exact-hit write path
+(answers settled inside ``submit`` are written on the loop, with one
+transport write per read).
 
 Admission tests run against a manually-resolved fake service so that
 "a request is in flight" is a test-controlled fact, not a race.
@@ -15,6 +18,10 @@ Admission tests run against a manually-resolved fake service so that
 
 from __future__ import annotations
 
+import json
+import math
+import pickle
+import socket
 import struct
 import threading
 import time
@@ -24,7 +31,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cache import SemanticAnswerCache
 from repro.core.engine import DurableTopKEngine
+from repro.core.query import Direction, QueryStats
 from repro.gateway import (
     ApiKeyRegistry,
     DurableTopKGateway,
@@ -35,7 +44,10 @@ from repro.gateway import (
     GatewayError,
     ProtocolError,
     Tenant,
+    WireResult,
     encode_frame,
+    request_from_wire,
+    request_to_wire,
 )
 from repro.obs import MetricsRegistry
 from repro.scoring import LinearPreference
@@ -304,6 +316,28 @@ class TestAuth:
         finally:
             gateway.close()
 
+    def test_refused_key_closes_the_client_socket(self, monkeypatch):
+        from repro.gateway import client as client_module
+
+        opened: list[socket.socket] = []
+        create_connection = socket.create_connection
+
+        def recording(*args, **kwargs):
+            sock = create_connection(*args, **kwargs)
+            opened.append(sock)
+            return sock
+
+        monkeypatch.setattr(client_module.socket, "create_connection", recording)
+        gateway = make_gateway(ManualService())
+        try:
+            with pytest.raises(GatewayError) as info:
+                GatewayClient("127.0.0.1", gateway.port, key="who-dis")
+            assert info.value.code == "auth_failed"
+            assert len(opened) == 1
+            assert opened[0].fileno() == -1  # closed, not left to the GC
+        finally:
+            gateway.close()
+
     def test_registry_refresh_without_restart(self):
         service = ManualService()
         registry = ApiKeyRegistry(dict(KEYS))
@@ -498,8 +532,6 @@ class TestWireEquivalence:
                 gateway.close()
 
     def test_cache_tier_tag_crosses_the_wire(self, small_ind):
-        from repro.cache import SemanticAnswerCache
-
         with DurableTopKService(
             EngineBackend(DurableTopKEngine(small_ind)),
             workers=1,
@@ -591,3 +623,322 @@ class TestObservability:
         finally:
             disable()
             reset_for_tests()
+
+
+# ----------------------------------------------------------------------
+# Protocol details
+# ----------------------------------------------------------------------
+class TestProtocol:
+    @pytest.mark.parametrize(
+        "frame",
+        [
+            {"op": "result", "id": 7, "ok": True, "ids": [1, 2], "durations": None},
+            {"op": "result", "id": None, "elapsed_seconds": math.nan, "cache": None},
+            {"op": "error", "id": 3, "message": "naïve Ünïcode ☃ \u2028 \"q\"\n"},
+            {"op": "x", "nested": {"a": [1.5, -0.0, math.inf, -math.inf, True]}},
+            {},
+        ],
+    )
+    def test_encode_frame_matches_json_dumps(self, frame):
+        body = json.dumps(frame, separators=(",", ":")).encode("utf-8")
+        assert encode_frame(frame) == struct.pack(">I", len(body)) + body
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("k", 10.9),
+            ("k", True),
+            ("tau", 2.5),
+            ("tau", False),
+            ("tau", "30"),
+            ("priority", 1.5),
+            ("priority", True),
+            ("interval", [0.5, 10]),
+            ("interval", [0, True]),
+            ("interval", [0, math.nan]),
+        ],
+    )
+    def test_non_integral_and_boolean_numbers_are_bad_requests(self, field, value):
+        frame = request_to_wire(sample_request(), id=1)
+        frame[field] = value
+        with pytest.raises(ProtocolError) as raised:
+            request_from_wire(frame, lambda weights: LinearPreference(list(weights)))
+        assert raised.value.code is ErrorCode.BAD_REQUEST
+
+    def test_integral_floats_are_accepted(self):
+        frame = request_to_wire(sample_request(), id=1)
+        frame.update(k=5.0, tau=30.0, interval=[10.0, 200.0], priority=-1.0)
+        request = request_from_wire(frame, lambda weights: LinearPreference(list(weights)))
+        assert (request.k, request.tau, request.interval, request.priority) == (
+            5,
+            30,
+            (10, 200),
+            -1,
+        )
+        assert all(type(v) is int for v in (request.k, request.tau, request.priority))
+
+    @pytest.mark.parametrize(
+        "request_",
+        [
+            sample_request(),
+            QueryRequest(
+                LinearPreference([0.25, 0.75]),
+                k=3,
+                tau=12,
+                interval=(40, 500),
+                direction=Direction.FUTURE,
+                algorithm="s-hop",
+                timeout=2.5,
+                priority=-1,
+            ),
+            QueryRequest(LinearPreference([1.0, 0.0]), k=1, tau=0, priority=4),
+        ],
+    )
+    def test_request_to_wire_round_trips(self, request_):
+        frame = json.loads(json.dumps(request_to_wire(request_, id=9)))
+
+        def scorer_of(weights):
+            assert weights == tuple(request_.scorer.u)
+            return request_.scorer
+
+        assert request_from_wire(frame, scorer_of) == request_
+
+    def test_slotted_query_stats_copy_as_dict_and_pickle(self):
+        stats = QueryStats(
+            durability_topk_queries=3, candidate_topk_queries=4, hops=2, pages_read=9
+        )
+        assert not hasattr(stats, "__dict__")
+        copy = stats.copy()
+        assert copy == stats and copy is not stats
+        assert copy.as_dict() == stats.as_dict()
+        assert stats.as_dict()["topk_queries"] == 7
+        copy.hops += 1
+        assert stats.hops == 2
+        # Protocols 0 and 1 cannot pickle a class with __slots__ and no
+        # __getstate__; every protocol from 2 (the default is 4+) can.
+        for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+            restored = pickle.loads(pickle.dumps(stats, protocol=protocol))
+            assert type(restored) is QueryStats
+            assert restored == stats
+            assert restored.as_dict() == stats.as_dict()
+
+
+# ----------------------------------------------------------------------
+# The exact-hit path: answered on the loop, one write per read
+# ----------------------------------------------------------------------
+class RawConnection:
+    """A bare authenticated socket that counts every byte it receives."""
+
+    def __init__(self, port: int, key: str = "key-acme") -> None:
+        self.sock = socket.create_connection(("127.0.0.1", port), timeout=10.0)
+        self.decoder = FrameDecoder()
+        self.frames: list[dict] = []
+        self.received = 0
+        self.sock.sendall(encode_frame({"op": "auth", "key": key}))
+        assert self.next()["op"] == "hello"
+
+    def next(self) -> dict | None:
+        """The next frame, or ``None`` once the gateway hangs up."""
+        while not self.frames:
+            data = self.sock.recv(1 << 16)
+            if not data:
+                return None
+            self.received += len(data)
+            self.frames.extend(self.decoder.feed(data))
+        return self.frames.pop(0)
+
+    def close(self) -> None:
+        self.sock.close()
+
+
+def warm_service(dataset, requests) -> DurableTopKService:
+    """A started one-worker service whose cache holds ``requests``."""
+    service = DurableTopKService(
+        EngineBackend(DurableTopKEngine(dataset)), workers=1, cache=SemanticAnswerCache()
+    )
+    for request in requests:
+        assert service.query(request).ok
+    return service
+
+
+def reference_answer(dataset, request):
+    return DurableTopKEngine(dataset).query(
+        request.as_query(), request.scorer, algorithm=request.algorithm
+    )
+
+
+def count_calls(monkeypatch, obj, name: str) -> list:
+    """Record the arguments of every ``obj.name`` call (still forwarded)."""
+    calls: list = []
+    original = getattr(obj, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(obj, name, counting)
+    return calls
+
+
+def wait_until(predicate, timeout: float = 5.0) -> None:
+    deadline = time.time() + timeout
+    while not predicate() and time.time() < deadline:
+        time.sleep(0.005)
+    assert predicate()
+
+
+class TestExactHitPath:
+    def test_pipelined_burst_answers_every_id_once(self, small_ind, monkeypatch):
+        hot = [sample_request(i) for i in range(4)]
+        miss = sample_request(9)
+        with warm_service(small_ind, hot) as service:
+            gateway = make_gateway(service)
+            conn = RawConnection(gateway.port)
+            try:
+
+                def sent() -> int:
+                    return sum(
+                        series.value
+                        for series in gateway.registry.collect(prefix="gateway.bytes_out")
+                    )
+
+                # The hello's write is counted just after it is sent.
+                wait_until(lambda: sent() == conn.received)
+                count_bytes = count_calls(monkeypatch, gateway, "_count_bytes")
+                expected = {}
+                burst = []
+                for i in range(48):
+                    request = hot[i % len(hot)]
+                    expected[100 + i] = request
+                    burst.append(encode_frame(request_to_wire(request, id=100 + i)))
+                expected[900] = miss
+                burst.insert(20, encode_frame(request_to_wire(miss, id=900)))
+                burst.insert(30, encode_frame({"op": "nope", "id": 901}))
+                conn.sock.sendall(b"".join(burst))
+
+                answers: dict[int, dict] = {}
+                error = None
+                while len(answers) < len(expected) or error is None:
+                    frame = conn.next()
+                    assert frame is not None
+                    if frame["op"] == "error":
+                        assert error is None
+                        error = frame
+                        continue
+                    assert frame["id"] not in answers
+                    answers[frame["id"]] = frame
+                assert error["id"] == 901 and error["code"] == "bad_request"
+                assert answers.keys() == expected.keys()
+                for id, frame in answers.items():
+                    request = expected[id]
+                    assert frame["cache"] == (None if request is miss else "exact")
+                    wire = WireResult.from_wire(frame)
+                    assert wire.identical_to(reference_answer(small_ind, request))
+                wait_until(lambda: sent() == conn.received)
+                # One transport write per read for everything answered on
+                # the loop, plus one for the miss a worker finished.
+                reads = sum(1 for args in count_bytes if args[0] == "in")
+                writes = sum(1 for args in count_bytes if args[0] == "out")
+                assert writes <= reads + 1
+            finally:
+                conn.close()
+                gateway.close()
+
+    def test_hits_before_a_refused_frame_are_answered_before_the_close(
+        self, small_ind
+    ):
+        hot = [sample_request(i) for i in range(3)]
+        with warm_service(small_ind, hot) as service:
+            gateway = make_gateway(service)
+            conn = RawConnection(gateway.port)
+            try:
+                burst = [
+                    encode_frame(request_to_wire(hot[i % 3], id=i)) for i in range(30)
+                ]
+                burst.append(encode_frame({"op": "auth", "id": 99, "key": "bad-key"}))
+                conn.sock.sendall(b"".join(burst))
+                frames = []
+                while (frame := conn.next()) is not None:
+                    frames.append(frame)
+                assert [f["id"] for f in frames] == list(range(30)) + [99]
+                assert all(f["cache"] == "exact" for f in frames[:30])
+                assert frames[-1]["code"] == "auth_failed"
+            finally:
+                conn.close()
+                gateway.close()
+
+    def test_loop_side_answers_skip_the_threadsafe_hop(self, small_ind, monkeypatch):
+        hot = [sample_request(i) for i in range(2)]
+        with warm_service(small_ind, hot) as service:
+            gateway = make_gateway(service)
+            conn = RawConnection(gateway.port)
+            try:
+                hops = count_calls(monkeypatch, gateway._loop, "call_soon_threadsafe")
+                bad = request_to_wire(hot[0], id=50)
+                bad["k"] = 10.9
+                burst = [encode_frame(request_to_wire(hot[i % 2], id=i)) for i in range(10)]
+                burst += [encode_frame(bad), encode_frame({"op": "ping", "id": 51})]
+                conn.sock.sendall(b"".join(burst))
+                frames = [conn.next() for _ in range(12)]
+                assert sorted(f["id"] for f in frames) == list(range(10)) + [50, 51]
+                assert next(f for f in frames if f["id"] == 50)["code"] == "bad_request"
+                assert hops == []
+                assert gateway._open == 0
+            finally:
+                conn.close()
+                gateway.close()
+
+    def test_worker_answers_hop_onto_the_loop(self, monkeypatch):
+        service = ManualService()
+        gateway = make_gateway(service)
+        conn = RawConnection(gateway.port)
+        try:
+            hops = count_calls(monkeypatch, gateway._loop, "call_soon_threadsafe")
+            conn.sock.sendall(encode_frame(request_to_wire(sample_request(), id=60)))
+            wait_for_submissions(service, 1)
+            wait_until(lambda: gateway._open == 1)
+            service.resolve_all()  # settles the future on this thread
+            answer = conn.next()
+            assert answer["id"] == 60 and answer["code"] == "timeout"
+            assert len(hops) == 1
+            wait_until(lambda: gateway._open == 0)
+        finally:
+            service.resolve_all()
+            conn.close()
+            gateway.close()
+
+    def test_typed_rejection_from_submit_is_answered_on_the_loop(self, monkeypatch):
+        class RejectingService:
+            def submit(self, request):
+                future: Future = Future()
+                future.set_result(
+                    QueryResponse(
+                        request=request,
+                        error=QueryRejected(RejectionReason.QUEUE_FULL, "full"),
+                    )
+                )
+                return future
+
+        gateway = make_gateway(RejectingService())
+        conn = RawConnection(gateway.port)
+        try:
+            hops = count_calls(monkeypatch, gateway._loop, "call_soon_threadsafe")
+            conn.sock.sendall(
+                b"".join(
+                    encode_frame(request_to_wire(sample_request(i), id=i)) for i in range(5)
+                )
+            )
+            frames = [conn.next() for _ in range(5)]
+            assert [f["code"] for f in frames] == ["queue_full"] * 5
+            assert hops == []
+            assert gateway._open == 0
+            assert gateway._inflight.get("acme", 0) == 0
+            assert (
+                gateway.registry.counter(
+                    "gateway.requests", tenant="acme", outcome="queue_full"
+                ).value
+                == 5
+            )
+        finally:
+            conn.close()
+            gateway.close()

@@ -32,14 +32,47 @@ from repro.service import (
     WorkloadSpec,
     percentile,
     preference_key,
-    run_closed_loop,
     run_pipelined,
     zipfian_probabilities,
 )
 
 
+def query_concurrently(query, requests, clients: int) -> list:
+    """Answer ``requests`` from ``clients`` threads, each one-at-a-time.
+
+    Every thread takes the next unanswered request and blocks on
+    ``query`` before taking another, so up to ``clients`` submits
+    overlap. Responses come back in request order; the first exception
+    a thread hits is re-raised here.
+    """
+    responses: list = [None] * len(requests)
+    errors: list[BaseException] = []
+    lock = threading.Lock()
+    indices = iter(range(len(requests)))
+
+    def client() -> None:
+        while not errors:
+            with lock:
+                i = next(indices, None)
+            if i is None:
+                return
+            try:
+                responses[i] = query(requests[i])
+            except BaseException as exc:
+                errors.append(exc)
+
+    threads = [threading.Thread(target=client) for _ in range(clients)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
+    return responses
+
+
 # ----------------------------------------------------------------------
-# Concurrency equivalence (the satellite requirement)
+# Concurrency equivalence
 # ----------------------------------------------------------------------
 class TestConcurrencyEquivalence:
     def test_engine_backend_matches_serial(self, small_ind):
@@ -58,7 +91,7 @@ class TestConcurrencyEquivalence:
         with DurableTopKService(
             EngineBackend(DurableTopKEngine(small_ind)), workers=6, pool_capacity=10
         ) as service:
-            responses = run_closed_loop(service.query, stream, clients=8)
+            responses = query_concurrently(service.query, stream, clients=8)
             # A pool sized to the catalogue builds each preference once.
             assert service.pool.stats()["misses"] <= spec.n_preferences
         for request, response in zip(stream, responses):
@@ -92,7 +125,7 @@ class TestConcurrencyEquivalence:
             with DurableTopKService(
                 MiniDBBackend(db), workers=4, pool_capacity=6
             ) as service:
-                responses = run_closed_loop(service.query, stream, clients=6)
+                responses = query_concurrently(service.query, stream, clients=6)
                 assert service.metrics.snapshot().pool_hit_rate > 0.5
             for request, response in zip(stream, responses):
                 assert response.ok
