@@ -9,11 +9,13 @@ call:
 
 * block/level upper bounds (the branch-and-bound pruning keys),
 * decoded index payloads (skyline points, already scored),
-* per-range and per-page score vectors.
+* the scores of the rows read so far.
 
-:class:`QuerySession` is the shared cache carrier. The MiniDB backend
-subclasses it as :class:`repro.minidb.session.MiniDBSession` (adding
-page-accounting replay, see that module), and the in-memory engine as
+:class:`QuerySession` is the shared cache carrier and holds the first
+two. The MiniDB backend subclasses it as
+:class:`repro.minidb.session.MiniDBSession` (adding a per-row score
+store whose reads replay their page accesses, see that module), and the
+in-memory engine as
 :class:`repro.core.engine.EngineSession` (binding the preference-bound
 top-k index). Both expose the same contract:
 
@@ -51,35 +53,20 @@ class QuerySession:
     points:
         Decoded index payload cache (e.g. a block's skyline points as an
         ``(m, d+1)`` array), keyed by index-node identity.
-    range_scores:
-        Score vectors for contiguous row ranges, keyed by ``(lo, hi)``.
-    page_scores:
-        Score vectors for whole storage pages, keyed by page id.
     """
 
-    __slots__ = (
-        "u",
-        "ub",
-        "points",
-        "range_scores",
-        "page_scores",
-        "closed",
-    )
+    __slots__ = ("u", "ub", "points", "closed")
 
     def __init__(self, u: np.ndarray | None = None) -> None:
         self.u = None if u is None else np.asarray(u, dtype=float)
         self.ub: dict = {}
         self.points: dict = {}
-        self.range_scores: dict = {}
-        self.page_scores: dict = {}
         self.closed = False
 
     def clear(self) -> None:
         """Drop all cached state (the binding to ``u`` is kept)."""
         self.ub.clear()
         self.points.clear()
-        self.range_scores.clear()
-        self.page_scores.clear()
 
     def close(self) -> None:
         """Release cached state and mark the session closed.

@@ -102,11 +102,16 @@ def rejection_code(reason: RejectionReason) -> ErrorCode:
 
 
 class ProtocolError(ValueError):
-    """A frame that cannot be honoured, with its wire error code."""
+    """A frame that cannot be honoured, with its wire error code.
+
+    Raised by :meth:`FrameDecoder.feed`, ``frames`` holds the frames it
+    decoded from the same chunk ahead of the bad one, in order.
+    """
 
     def __init__(self, code: ErrorCode, message: str) -> None:
         super().__init__(message)
         self.code = code
+        self.frames: list[dict] = []
 
 
 class FrameTooLarge(ProtocolError):
@@ -136,7 +141,9 @@ class FrameDecoder:
     decode, keeping the remainder buffered. Raises :class:`FrameTooLarge`
     the moment a header announces a body beyond ``max_frame_bytes`` —
     before buffering any of it — and :class:`ProtocolError` for a body
-    that is not a JSON object; it raises nothing else.
+    that is not a JSON object; it raises nothing else. The error carries
+    the frames decoded ahead of the bad one (``exc.frames``), so requests
+    pipelined before it can still be answered.
     """
 
     def __init__(self, max_frame_bytes: int = MAX_FRAME_BYTES) -> None:
@@ -146,29 +153,33 @@ class FrameDecoder:
     def feed(self, data: bytes) -> list[dict]:
         self._buffer.extend(data)
         frames: list[dict] = []
-        while True:
-            if len(self._buffer) < _HEADER.size:
-                return frames
-            (length,) = _HEADER.unpack_from(self._buffer)
-            if length > self.max_frame_bytes:
-                raise FrameTooLarge(length, self.max_frame_bytes)
-            if len(self._buffer) < _HEADER.size + length:
-                return frames
-            body = bytes(self._buffer[_HEADER.size : _HEADER.size + length])
-            del self._buffer[: _HEADER.size + length]
-            try:
-                payload = json.loads(body)
-            except (ValueError, RecursionError) as exc:
-                # RecursionError: nesting deeper than the parser's stack
-                # (a body of 200 KB of "[" is enough).
-                raise ProtocolError(
-                    ErrorCode.BAD_REQUEST, f"frame body is not valid JSON: {exc}"
-                ) from exc
-            if not isinstance(payload, dict):
-                raise ProtocolError(
-                    ErrorCode.BAD_REQUEST, "frame body must be a JSON object"
-                )
-            frames.append(payload)
+        try:
+            while True:
+                if len(self._buffer) < _HEADER.size:
+                    return frames
+                (length,) = _HEADER.unpack_from(self._buffer)
+                if length > self.max_frame_bytes:
+                    raise FrameTooLarge(length, self.max_frame_bytes)
+                if len(self._buffer) < _HEADER.size + length:
+                    return frames
+                body = bytes(self._buffer[_HEADER.size : _HEADER.size + length])
+                del self._buffer[: _HEADER.size + length]
+                try:
+                    payload = json.loads(body)
+                except (ValueError, RecursionError) as exc:
+                    # RecursionError: nesting deeper than the parser's
+                    # stack (a body of 200 KB of "[" is enough).
+                    raise ProtocolError(
+                        ErrorCode.BAD_REQUEST, f"frame body is not valid JSON: {exc}"
+                    ) from exc
+                if not isinstance(payload, dict):
+                    raise ProtocolError(
+                        ErrorCode.BAD_REQUEST, "frame body must be a JSON object"
+                    )
+                frames.append(payload)
+        except ProtocolError as exc:
+            exc.frames = frames
+            raise
 
 
 # --------------------------------------------------------------------------

@@ -269,15 +269,19 @@ class DurableTopKGateway:
                     break
                 self._count_bytes("in", conn.tenant_label, len(data))
                 conn.outbox = []
+                error: ProtocolError | None = None
                 try:
                     try:
                         frames = conn.decoder.feed(data)
                     except ProtocolError as exc:
-                        # A desynchronised stream cannot be recovered —
-                        # answer once, then hang up.
-                        self._send(conn, error_frame(exc.code, str(exc)))
-                        break
+                        frames, error = exc.frames, exc
                     if not all(self._dispatch(conn, frame) for frame in frames):
+                        break
+                    if error is not None:
+                        # A desynchronised stream cannot be recovered:
+                        # answer the frames ahead of the bad one, then
+                        # the error, then hang up.
+                        self._send(conn, error_frame(error.code, str(error)))
                         break
                 finally:
                     self._flush(conn)

@@ -226,23 +226,6 @@ class BlockSkylineIndex:
         for (blk, _), ub in zip(nonempty, maxima):
             ub_cache[id(blk)] = float(ub)
 
-    def _range_scores(
-        self, table: HeapTable, session: MiniDBSession, lo: int, hi: int
-    ) -> np.ndarray:
-        """Scores of data rows ``[lo, hi]``, cached per session.
-
-        A hit replays the same buffered page reads ``read_rows`` would
-        issue, keeping page accounting identical to an uncached run.
-        """
-        key = (lo, hi)
-        scores = session.range_scores.get(key)
-        if scores is not None:
-            table.touch_rows(lo, hi)
-            return scores
-        scores = table.read_rows(lo, hi) @ session.u
-        session.range_scores[key] = scores
-        return scores
-
     def topk(
         self,
         table: HeapTable,
@@ -282,9 +265,14 @@ class BlockSkylineIndex:
     ) -> tuple[list[int], list[float]]:
         """:meth:`topk` plus each winner's score (no extra page reads).
 
-        The scores come from the candidate buffers the search already
-        filled, so callers merging answers across segment indexes (the
-        live MiniDB read path) pay no additional accounting.
+        The scores come from the candidates the search already scored, so
+        callers merging answers across segment indexes (the live MiniDB
+        read path) pay no additional accounting.
+
+        A leaf's rows are read through the session's per-row score store
+        (each page read as an uncached read would, decoded at most once
+        per session). Only rows scoring at or above the running k-th score
+        stay candidates, so the final sort covers ``k`` rows plus ties.
         """
         if self.root is None or k <= 0:
             return [], []
@@ -301,24 +289,12 @@ class BlockSkylineIndex:
                 "session was opened for a different preference vector; "
                 "open one per preference via MiniDB.session()"
             )
-        u = session.u
-        counter = 0  # heap tie-breaker
-        heap: list[tuple[float, int, _Block]] = []
-
-        def push(block: _Block) -> None:
-            nonlocal counter
-            counter += 1
-            heapq.heappush(heap, (-session.ub[id(block)], counter, block))
-
+        ub = session.ub
         self._ensure_upper_bounds([self.root], session)
-        push(self.root)
-        # Candidate accumulation in preallocated buffers (grown by
-        # doubling); one lexsort at the end replaces the per-block
-        # re-sorts and per-element conversions of a naive implementation.
-        cap = max(2 * self.block_rows, k)
-        ids_buf = np.empty(cap, dtype=np.int64)
-        scores_buf = np.empty(cap, dtype=np.float64)
-        m = 0
+        counter = 0  # heap tie-breaker
+        heap: list[tuple[float, int, _Block]] = [(-ub[id(self.root)], counter, self.root)]
+        # Ties with the k-th score stay: the final order breaks them by id.
+        cand_ids = cand_scores = None
         kth_score: float | None = None
         while heap:
             neg_ub, _, block = heapq.heappop(heap)
@@ -326,31 +302,36 @@ class BlockSkylineIndex:
                 break
             if block.children is not None:
                 overlapping = [
-                    child
-                    for child in block.children
-                    if not (child.hi < lo or child.lo > hi)
+                    child for child in block.children if child.hi >= lo and child.lo <= hi
                 ]
                 self._ensure_upper_bounds(overlapping, session)
                 for child in overlapping:
-                    push(child)
+                    counter += 1
+                    heapq.heappush(heap, (-ub[id(child)], counter, child))
                 continue
             a, b = max(block.lo, lo), min(block.hi, hi)
-            block_scores = self._range_scores(table, session, a, b)
-            count = b - a + 1
-            if m + count > cap:
-                cap = max(2 * cap, m + count)
-                ids_buf = np.resize(ids_buf, cap)
-                scores_buf = np.resize(scores_buf, cap)
-            ids_buf[m : m + count] = np.arange(a, b + 1)
-            scores_buf[m : m + count] = block_scores
-            m += count
+            scores = session.row_scores(table, a, b)
+            if kth_score is None:
+                ids = np.arange(a, b + 1)
+            else:
+                ids = (scores >= kth_score).nonzero()[0]
+                if not len(ids):
+                    continue
+                scores = scores[ids]
+                ids += a
+            if cand_ids is None:
+                cand_ids, cand_scores = ids, scores
+            else:
+                cand_ids = np.concatenate((cand_ids, ids))
+                cand_scores = np.concatenate((cand_scores, scores))
+            m = len(cand_scores)
             if m >= k:
-                # k-th largest score (ties need no id refinement: the
-                # break test above compares scores only).
-                kth_score = float(np.partition(scores_buf[:m], m - k)[m - k])
-        ids_v, scores_v = ids_buf[:m], scores_buf[:m]
-        order = np.lexsort((ids_v, scores_v))[::-1][:k]
-        return [int(i) for i in ids_v[order]], [float(s) for s in scores_v[order]]
+                kth_score = float(np.partition(cand_scores, m - k)[m - k])
+                keep = (cand_scores >= kth_score).nonzero()[0]
+                if len(keep) < m:
+                    cand_ids, cand_scores = cand_ids[keep], cand_scores[keep]
+        order = np.lexsort((cand_ids, cand_scores))[::-1][:k]
+        return cand_ids[order].tolist(), cand_scores[order].tolist()
 
     # ------------------------------------------------------------------
     # Catalog (de)serialisation — the recovery path

@@ -16,39 +16,24 @@ __all__ = ["MiniDB", "buffered_score_of"]
 
 def buffered_score_of(
     table: HeapTable,
-    buffer: BufferPool,
     u: np.ndarray,
     row_id: int,
     session: MiniDBSession | None = None,
 ) -> float:
-    """One row's preference score via a buffered page read.
+    """One row's preference score via one buffered page read.
 
-    With a ``session``, the row's whole page is decoded and scored on
-    first touch and later lookups on the same page are served from the
-    cached vector — still charging one buffered page read per call,
-    exactly like the uncached path. Shared by the bulk-loaded
-    :class:`MiniDB` and the live append store.
+    With a ``session`` the score comes from its per-row store (the page
+    is decoded and scored on the session's first read of it). Shared by
+    the bulk-loaded :class:`MiniDB` and the live append store.
     """
     if session is None:
-        row = table.read_row(row_id)
-        return float(np.dot(row, u))
+        return float(np.dot(table.read_row(row_id), u))
     if u is not session.u and not np.array_equal(u, session.u):
         raise ValueError(
             "session was opened for a different preference vector; "
             "open one per preference via MiniDB.session()"
         )
-    page_id, slot = table.page_of(row_id)
-    scores = session.page_scores.get(page_id)
-    # A live store's seal may have topped up this page since the vector
-    # was cached (rows are only ever appended, so a short vector is
-    # stale-but-correct for its own slots); re-decode when the lookup
-    # reaches past it.
-    if scores is None or slot >= len(scores):
-        scores = table.read_page_rows(page_id) @ session.u
-        session.page_scores[page_id] = scores
-    else:
-        buffer.get(page_id)  # replay the single page read
-    return float(scores[slot])
+    return session.row_score(table, row_id)
 
 
 class MiniDB:
@@ -107,7 +92,7 @@ class MiniDB:
         """Open a query session bound to preference ``u``.
 
         The session memoises per-preference CPU work (block upper bounds,
-        decoded skyline points, score vectors) across consecutive top-k
+        decoded skyline points, per-row scores) across consecutive top-k
         calls while the page accounting stays exactly as without it — see
         :mod:`repro.minidb.session`.
         """
@@ -128,14 +113,9 @@ class MiniDB:
     def score_of(
         self, u: np.ndarray, row_id: int, session: MiniDBSession | None = None
     ) -> float:
-        """One row's preference score (a buffered row read).
-
-        With a ``session``, the row's whole page is decoded and scored on
-        first touch and later lookups on the same page are served from the
-        cached vector — still charging one buffered page read per call,
-        exactly like the uncached path.
-        """
-        return buffered_score_of(self.table, self.buffer, u, row_id, session)
+        """One row's preference score (a buffered row read); see
+        :func:`buffered_score_of`."""
+        return buffered_score_of(self.table, u, row_id, session)
 
     def reset_io(self, cold: bool = False) -> None:
         """Zero the I/O counters; with ``cold`` also empty the buffer pool."""

@@ -295,7 +295,7 @@ class LiveMiniDB:
             if row_id >= self.n:
                 raise IndexError(f"row {row_id} out of range [0, {self.n})")
             return float(np.dot(self._tail[row_id - first_tail], np.asarray(u, dtype=float)))
-        return buffered_score_of(self.table, self.buffer, u, row_id, session)
+        return buffered_score_of(self.table, u, row_id, session)
 
     def storage_pages(self) -> int:
         """Total allocated pages (data + index)."""

@@ -7,10 +7,10 @@ plus an I/O/time report, which the Table IV–VI benchmarks print.
 
 Each invocation opens a :class:`~repro.minidb.session.MiniDBSession`
 bound to its preference vector: consecutive top-k calls of one durable
-query then reuse block upper bounds, decoded skyline points, and score
-vectors instead of re-deriving them in Python, while the buffer-pool
-accounting stays identical to a session-free run (cache hits replay their
-page reads). This is what lets T-Hop's page savings show up on wall time
+query then reuse block upper bounds, decoded skyline points, and per-row
+scores instead of re-deriving them in Python, while the buffer-pool
+accounting stays identical to a session-free run (cached reads replay
+their page reads). This is what lets T-Hop's page savings show up on wall time
 too, as in the paper.
 
 S-Hop is deliberately absent: the paper implements it "as a wrapper
@@ -106,7 +106,7 @@ def _procedure_session(db: MiniDB, u: np.ndarray, session):
 
     An externally supplied session lets the service layer keep one warm
     session per preference across many invocations. The decoded-point and
-    score-vector caches replay their page reads on every hit, so keeping
+    per-row score caches replay their page reads on every hit, so keeping
     them warm never changes accounting; the upper-bound cache is the one
     cache whose hits *skip* index-page reads (the seed-era ``ub_cache``
     semantics, scoped to one invocation). Clearing it here keeps every
@@ -276,7 +276,7 @@ def _batch_procedure(
     query runs the unmodified serial procedure (its own ``ub`` clear, its
     own ``reset_io``), so ``logical_reads``/``physical_reads`` equal a
     serial loop's exactly. What the batch shares is the session's decoded
-    points and score vectors (their cache hits *replay* page reads — see
+    points and per-row scores (their cache hits *replay* page reads — see
     :func:`_procedure_session`) and the execution of duplicate queries,
     which run once and return cloned reports (valid because the
     procedures are deterministic under ``cold=True``).

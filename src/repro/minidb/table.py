@@ -52,7 +52,7 @@ class HeapTable:
         if tuple_header_bytes < 0:
             raise ValueError(f"tuple_header_bytes must be >= 0, got {tuple_header_bytes}")
         self._pager = pager
-        self._buffer = buffer_pool
+        self.buffer = buffer_pool
         self.d = d
         self.payload_bytes = 8 * d
         self.row_bytes = self.payload_bytes + tuple_header_bytes
@@ -62,8 +62,7 @@ class HeapTable:
                 f"a {pager.page_size}-byte page cannot hold a {self.row_bytes}-byte row"
             )
         self.n_rows = 0
-        self._pages: list[int] = []  # row page index -> page id
-        self._page_index: dict[int, int] = {}  # page id -> row page index
+        self.page_ids: list[int] = []  # row page index -> page id (read-only)
         self._fmt = f"<{d}d"
 
     @classmethod
@@ -95,8 +94,7 @@ class HeapTable:
         if n_rows > len(pages) * table.rows_per_page:
             raise ValueError(f"{n_rows} rows cannot fit in {len(pages)} pages")
         table.n_rows = n_rows
-        table._pages = list(pages)
-        table._page_index = {page_id: i for i, page_id in enumerate(pages)}
+        table.page_ids = list(pages)
         return table
 
     def append_rows(self, values: np.ndarray) -> int:
@@ -118,7 +116,7 @@ class HeapTable:
         slot = self.n_rows % rpp
         if slot:
             # Top up the partial last page.
-            page_id = self._pages[-1]
+            page_id = self.page_ids[-1]
             take = min(rpp - slot, len(values))
             data = bytearray(self._pager.read_page(page_id))
             chunk = values[:take]
@@ -128,7 +126,7 @@ class HeapTable:
             )
             data[slot * self.row_bytes : (slot + take) * self.row_bytes] = packed.tobytes()
             self._pager.write_page(page_id, bytes(data))
-            self._buffer.invalidate(page_id)
+            self.buffer.invalidate(page_id)
             start = take
         while start < len(values):
             chunk = values[start : start + rpp]
@@ -138,8 +136,7 @@ class HeapTable:
             )
             page_id = self._pager.n_pages
             self._pager.write_page(page_id, packed.tobytes())
-            self._page_index[page_id] = len(self._pages)
-            self._pages.append(page_id)
+            self.page_ids.append(page_id)
             start += len(chunk)
         self.n_rows += len(values)
         return first_new
@@ -147,80 +144,32 @@ class HeapTable:
     @property
     def n_pages(self) -> int:
         """Number of data pages the table occupies."""
-        return len(self._pages)
+        return len(self.page_ids)
 
     @property
     def pages(self) -> list[int]:
         """Page ids in row order (manifest serialisation)."""
-        return list(self._pages)
-
-    def _page_of(self, row_id: int) -> tuple[int, int]:
-        if not 0 <= row_id < self.n_rows:
-            raise IndexError(f"row {row_id} out of range [0, {self.n_rows})")
-        page_index, slot = divmod(row_id, self.rows_per_page)
-        return self._pages[page_index], slot
-
-    def page_of(self, row_id: int) -> tuple[int, int]:
-        """``(page_id, slot)`` address of a row (no page access)."""
-        return self._page_of(row_id)
+        return list(self.page_ids)
 
     def read_row(self, row_id: int) -> tuple[float, ...]:
         """One row's attribute values (a buffered page read)."""
-        page_id, slot = self._page_of(row_id)
-        data = self._buffer.get(page_id)
+        if not 0 <= row_id < self.n_rows:
+            raise IndexError(f"row {row_id} out of range [0, {self.n_rows})")
+        page_index, slot = divmod(row_id, self.rows_per_page)
+        data = self.buffer.get(self.page_ids[page_index])
         return struct.unpack_from(self._fmt, data, slot * self.row_bytes)
 
-    def read_rows(self, lo: int, hi: int) -> np.ndarray:
-        """Rows ``[lo, hi]`` inclusive as an ``(m, d)`` array (clamped)."""
-        lo = max(lo, 0)
-        hi = min(hi, self.n_rows - 1)
-        if hi < lo:
-            return np.empty((0, self.d))
-        out = np.empty((hi - lo + 1, self.d))
-        row = lo
-        while row <= hi:
-            page_id, slot = self._page_of(row)
-            data = self._buffer.get(page_id)
-            take = min(self.rows_per_page - slot, hi - row + 1)
-            raw = np.frombuffer(data, dtype=np.uint8, count=take * self.row_bytes, offset=slot * self.row_bytes)
-            payload = raw.reshape(take, self.row_bytes)[:, : self.payload_bytes]
-            out[row - lo : row - lo + take] = (
-                np.ascontiguousarray(payload).view("<f8").reshape(take, self.d)
-            )
-            row += take
-        return out
-
-    def touch_rows(self, lo: int, hi: int) -> None:
-        """Replay the buffered page reads of ``read_rows(lo, hi)``.
-
-        Issues the exact same ``BufferPool.get`` calls (same pages, same
-        ascending order) without decoding, so a session-level score cache
-        hit leaves the page accounting identical to an uncached read.
-        """
-        lo = max(lo, 0)
-        hi = min(hi, self.n_rows - 1)
-        if hi < lo:
-            return
-        first_index = lo // self.rows_per_page
-        last_index = hi // self.rows_per_page
-        for page_index in range(first_index, last_index + 1):
-            self._buffer.get(self._pages[page_index])
-
-    def read_page_rows(self, page_id: int) -> np.ndarray:
-        """All rows stored on one data page as an ``(m, d)`` array.
+    def read_page_rows(self, page_index: int) -> np.ndarray:
+        """All rows on the table's ``page_index``-th data page, ``(m, d)``.
 
         One buffered page read — the same cost as a single ``read_row`` —
-        decoded in bulk, so per-row score lookups can be served from a
-        page-level cache.
+        decoded in bulk, so a session can score the whole page at once.
         """
-        page_index = self._page_index.get(page_id)
-        if page_index is None:
-            raise IndexError(f"page {page_id} holds no rows of this table")
         start_row = page_index * self.rows_per_page
         if not 0 <= start_row < self.n_rows:
-            raise IndexError(f"page {page_id} holds no rows of this table")
+            raise IndexError(f"page index {page_index} holds no rows of this table")
         count = min(self.rows_per_page, self.n_rows - start_row)
-        data = self._buffer.get(page_id)
+        data = self.buffer.get(self.page_ids[page_index])
         raw = np.frombuffer(data, dtype=np.uint8, count=count * self.row_bytes)
         payload = raw.reshape(count, self.row_bytes)[:, : self.payload_bytes]
         return np.ascontiguousarray(payload).view("<f8").reshape(count, self.d)

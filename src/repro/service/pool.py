@@ -6,8 +6,8 @@ interactive workload re-queries the same user preference with different
 dominate traffic. The pool keeps one warm
 :class:`~repro.core.session.QuerySession` per recently-served preference
 (bounded, LRU-evicted), so a batch for a hot preference starts with its
-block upper bounds, decoded skyline points and score vectors already in
-place instead of rebuilding them per request.
+block upper bounds, decoded skyline points and (MiniDB) per-row scores
+already in place instead of rebuilding them per request.
 
 The pool only ever holds *idle* sessions. The service checks a session
 out for the duration of one batch and back in afterwards; because the

@@ -165,8 +165,8 @@ class TestWriterCrash:
         again.close()
 
     def test_pooled_session_survives_partial_page_top_up(self, tmp_path):
-        """A session whose page-score vector was cached before a seal
-        topped up that page must re-decode, not read out of bounds."""
+        """A session that scored a page before a seal topped it up must
+        re-score the page, not read stale or out-of-range scores."""
         store = LiveMiniDB(tmp_path / "db5", d=2, seal_rows=None, buffer_pages=16)
         rng = np.random.default_rng(30)
         first = rng.random((5, 2))  # far fewer rows than fit on a page

@@ -198,6 +198,38 @@ class TestFraming:
             gateway.close()
 
 
+    def test_frames_ahead_of_a_bad_frame_ride_on_the_error(self):
+        pings = [{"op": "ping", "id": 1}, {"op": "ping", "id": 2}]
+        wire = b"".join(encode_frame(frame) for frame in pings)
+        decoder = FrameDecoder(max_frame_bytes=4096)
+        with pytest.raises(FrameTooLarge) as raised:
+            decoder.feed(wire + struct.pack(">I", 1 << 20))
+        assert raised.value.frames == pings
+        not_an_object = json.dumps([1, 2]).encode()
+        with pytest.raises(ProtocolError) as raised:
+            FrameDecoder().feed(wire + struct.pack(">I", len(not_an_object)) + not_an_object)
+        assert raised.value.code is ErrorCode.BAD_REQUEST
+        assert raised.value.frames == pings
+
+    def test_pipelined_frames_answered_before_an_oversized_one(self):
+        service = ManualService()
+        gateway = make_gateway(service, max_frame_bytes=4096)
+        try:
+            client = GatewayClient("127.0.0.1", gateway.port, key="key-acme")
+            client._sock.sendall(
+                encode_frame({"op": "ping", "id": 1})
+                + encode_frame({"op": "ping", "id": 2})
+                + struct.pack(">I", 1 << 20)
+            )
+            assert client.recv() == {"op": "pong", "id": 1}
+            assert client.recv() == {"op": "pong", "id": 2}
+            assert client.recv()["code"] == "frame_too_large"
+            with pytest.raises(GatewayError):
+                client.recv()
+            client.close()
+        finally:
+            gateway.close()
+
 # ----------------------------------------------------------------------
 # Byte-fuzzed decoder
 # ----------------------------------------------------------------------

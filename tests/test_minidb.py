@@ -90,6 +90,36 @@ class TestBufferPool:
             with pytest.raises(ValueError):
                 BufferPool(pager, capacity=0)
 
+    def test_repeated_read_of_newest_page_counts_and_keeps_lru_order(self):
+        with Pager(page_size=64) as pager:
+            for i in range(3):
+                pager.write_page(i, bytes([i]))
+            pool = BufferPool(pager, capacity=2)
+            pool.get(0)
+            pool.get(1)
+            pool.get(1)
+            pool.get(1)
+            assert (pool.logical_reads, pool.physical_reads) == (4, 2)
+            pool.get(2)  # evicts 0, the least recently used
+            pool.get(1)
+            assert pool.physical_reads == 3
+            pool.get(0)
+            assert pool.physical_reads == 4
+
+    @pytest.mark.parametrize("drop", ["invalidate", "clear"])
+    def test_dropping_the_newest_page_rereads_it(self, drop):
+        with Pager(page_size=64) as pager:
+            pager.write_page(0, b"a")
+            pool = BufferPool(pager, capacity=2)
+            assert pool.get(0)[:1] == b"a"
+            pager.write_page(0, b"b")
+            if drop == "invalidate":
+                pool.invalidate(0)
+            else:
+                pool.clear()
+            assert pool.get(0)[:1] == b"b"
+            assert pool.physical_reads == 2
+
 
 class TestHeapTable:
     @pytest.fixture()
@@ -107,15 +137,15 @@ class TestHeapTable:
         for row_id in (0, 1, 50, 99):
             assert np.allclose(table.read_row(row_id), values[row_id])
 
-    def test_read_rows_range(self, loaded):
+    def test_read_page_rows(self, loaded):
         table, values = loaded
-        out = table.read_rows(10, 40)
-        assert np.allclose(out, values[10:41])
-
-    def test_read_rows_clamps(self, loaded):
-        table, values = loaded
-        assert np.allclose(table.read_rows(-5, 3), values[:4])
-        assert table.read_rows(200, 300).shape == (0, 3)
+        pages = [table.read_page_rows(i) for i in range(table.n_pages)]
+        assert len(pages[-1]) < table.rows_per_page  # a partial last page
+        assert np.array_equal(np.concatenate(pages), values)
+        assert table.buffer.logical_reads == table.n_pages
+        for page_index in (-1, table.n_pages):
+            with pytest.raises(IndexError):
+                table.read_page_rows(page_index)
 
     def test_out_of_range_row(self, loaded):
         table, _ = loaded
@@ -294,3 +324,37 @@ class TestStoredProcedures:
         assert db.storage_pages() > 0
         assert db.storage_bytes() == db.storage_pages() * db.pager.page_size
         assert db.n == 4000
+
+
+class TestSessionMemory:
+    """A session's score cache is bounded by the table, not the workload."""
+
+    @staticmethod
+    def cached_scores(session) -> int:
+        """Float scores the session's caches hold (decoded points aside)."""
+        total = 0
+        for cls in type(session).__mro__:
+            for name in getattr(cls, "__slots__", ()):
+                if name in ("u", "points"):
+                    continue
+                value = getattr(session, name, None)
+                values = value.values() if isinstance(value, dict) else [value]
+                total += sum(
+                    v.size for v in values if isinstance(v, np.ndarray) and v.dtype.kind == "f"
+                )
+        return total
+
+    def test_many_queries_hold_at_most_one_score_per_row(self):
+        n = 10_000
+        rng = np.random.default_rng(9)
+        with MiniDB(Dataset(rng.random((n, 2)), name="session-memory")) as db:
+            u = np.array([0.35, 0.65])
+            session = db.session(u)
+            for k in (5, 10, 25):
+                for tau_fraction in (0.01, 0.05, 0.10, 0.25):
+                    for length_fraction in (0.1, 0.3, 0.5, 0.8):
+                        lo = n - int(n * length_fraction)
+                        tau = int(n * tau_fraction)
+                        for procedure in (t_hop_procedure, t_base_procedure):
+                            procedure(db, u, k, tau, lo, n - 1, cold=False, session=session)
+            assert 0 < self.cached_scores(session) <= db.table.n_rows
